@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification command finds a violated
-property, 2 for bad input or usage.  All structured output goes through
+property, 2 for bad input or usage, 3 for an internal error (an
+ArithmeticError or AssertionError: an exact computation that could not
+finish, or a broken internal invariant).  All structured output goes through
 the same deterministic JSON writer the library uses, so identical
 invocations produce identical bytes.
 """
@@ -298,6 +300,10 @@ def main(argv=None) -> int:
         # parsing; anything here is a bad-input problem, not a crash.
         print(f"coconvex: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        # Neither bad input nor a violated property, so neither 2 nor 1.
+        print(f"coconvex: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,6 +5,18 @@ rays plus a lineality basis.  Both directions of the polytope conversions
 (vertices to facets and back) reduce to this one routine applied to
 homogenized data, which keeps the exact-arithmetic core small.
 
+The kernel is integer-only.  Input rows are first scaled to primitive
+integer vectors; from then on every quantity is a Python int and no
+rational is ever built.  Elimination is fraction-free Gauss-Jordan in the
+style of Bareiss (1968), as in cddlib's exact mode and Fukuda-Prodon,
+"Double description method revisited" (1996): a step with pivot p and
+previous pivot q replaces every other row by (p * row - row[col] * pivot
+row) / q.  Every entry is then, up to sign, a minor of the input matrix,
+so the division is exact and the entries stay as small as those minors.
+Because only the direction of each vector matters and every output is
+made primitive, the results are exactly those of rational elimination:
+the same row-space basis, lineality vectors and rays, bit for bit.
+
 The incremental insertion keeps, at every step, exactly the extreme rays of
 the cone cut out by the constraints processed so far, starting from an
 invertible subsystem so the combinatorial adjacency test is sound.
@@ -12,15 +24,92 @@ invertible subsystem so the combinatorial adjacency test is sound.
 
 from __future__ import annotations
 
-from .linalg import (
-    dot,
-    independent_row_indices,
-    invert_matrix,
-    nullspace_basis,
-    primitive_integer,
-    rref,
-    sign_normalized,
-)
+from .linalg import dot, primitive_integer, sign_normalized
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination on the first ncols columns.
+
+    Pivoting follows `linalg.rref`: columns in order, first row with a
+    nonzero entry.  Returns (pivot rows, pivot columns, d).  Every pivot row
+    holds d at its own pivot column and 0 at the others: it is d times the
+    matching row of the reduced row echelon form.  Columns past ncols are
+    carried along, so eliminating [B | I] for an invertible B leaves
+    [d I | d B^-1] whatever rows were swapped.
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        prow = mat[rank]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            if i != rank:
+                f = row[col]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+        pivots.append(col)
+        rank += 1
+        # Rows reduced to zero stay zero; drop them.
+        mat = mat[:rank] + [row for row in mat[rank:] if any(row)]
+        if rank == len(mat):
+            break
+    return mat[:rank], pivots, prev
+
+
+def _row_space(rows, dim):
+    """Primitive row-space basis (the rows of the reduced row echelon form,
+    made primitive) and sign-normalized lineality basis."""
+    reduced, pivots, d = _gauss_jordan(rows, dim)
+    sign = 1 if d > 0 else -1
+    w_basis = [primitive_integer([sign * x for x in row]) for row in reduced]
+    lineality = []
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        vec = [0] * dim
+        vec[fc] = d
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        lineality.append(sign_normalized(primitive_integer(vec)))
+    return w_basis, lineality
+
+
+def _starting_basis(m_rows, r):
+    """The first r independent rows (greedily, in order) and the extreme
+    rays of the simplicial cone they cut out.
+
+    Ray k is column k of the inverse of the chosen rows, made primitive:
+    it meets chosen row k positively and the others in zero.
+    """
+    chosen, echelon = [], []
+    for idx, row in enumerate(m_rows):
+        work = row
+        for pc, prow in echelon:
+            f = work[pc]
+            if f:
+                p = prow[pc]
+                work = [p * a - f * b for a, b in zip(work, prow)]
+        pivot = next((c for c, x in enumerate(work) if x), None)
+        if pivot is None:
+            continue
+        echelon.append((pivot, primitive_integer(work)))
+        chosen.append(idx)
+        if len(chosen) == r:
+            break
+    if len(chosen) < r:
+        raise AssertionError("rank drop in reduced constraint system")
+
+    aug = [list(m_rows[i]) + [int(j == k) for j in range(r)] for k, i in enumerate(chosen)]
+    inverse, _, d = _gauss_jordan(aug, r)
+    sign = 1 if d > 0 else -1
+    rays = [primitive_integer([sign * row[r + k] for row in inverse]) for k in range(r)]
+    return chosen, rays
 
 
 def cone_extreme_rays(rows, dim):
@@ -43,21 +132,13 @@ def cone_extreme_rays(rows, dim):
         identity = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
         return [], identity
 
-    lineality = nullspace_basis(cleaned, dim)
-    r = dim - len(lineality)
-    if r == 0:
-        return [], sorted(lineality)
-
     # Work in coordinates on the row space: x = sum_j u_j * W_j.  The
     # reduced cone {u : M u >= 0} is pointed because W spans the row space.
-    w_basis = [primitive_integer(w) for w in rref(cleaned, dim)[0]]
+    w_basis, lineality = _row_space(cleaned, dim)
+    r = len(w_basis)
     m_rows = [tuple(dot(a, w) for w in w_basis) for a in cleaned]
 
-    basis_idx = independent_row_indices(m_rows, r, limit=r)
-    if len(basis_idx) < r:
-        raise AssertionError("rank drop in reduced constraint system")
-    inverse = invert_matrix([m_rows[i] for i in basis_idx])
-    rays = [primitive_integer(tuple(inverse[i][k] for i in range(r))) for k in range(r)]
+    basis_idx, rays = _starting_basis(m_rows, r)
     basis_bits = 0
     for i in basis_idx:
         basis_bits |= 1 << i
@@ -108,4 +189,4 @@ def cone_extreme_rays(rows, dim):
             for j in range(dim):
                 vec[j] += coeff * w[j]
         mapped.append(primitive_integer(vec))
-    return sorted(mapped), sorted(sign_normalized(v) for v in lineality)
+    return sorted(mapped), sorted(lineality)

@@ -19,33 +19,19 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
-def is_zero_vector(u) -> bool:
-    return all(x == 0 for x in u)
-
-
 def primitive_integer(vec) -> tuple[int, ...]:
     """Scale by a positive rational so entries become coprime integers.
 
-    Direction is preserved; the zero vector maps to itself.
+    Direction is preserved; the zero vector maps to itself.  int entries
+    are used as they are and Rat entries through their numerator and
+    denominator; any other entry is coerced through Rat.
     """
-    den = 1
-    for x in vec:
-        den = lcm(den, int(Rat(x).denominator))
-    ints = [int(Rat(x) * den) for x in vec]
-    g = 0
-    for i in ints:
-        g = gcd(g, abs(i))
-    if g > 1:
-        ints = [i // g for i in ints]
-    return tuple(ints)
+    if not all(type(x) is int for x in vec):
+        fracs = [x if isinstance(x, Rat) else Rat(x) for x in vec]
+        den = lcm(*(int(q.denominator) for q in fracs))
+        vec = [int(q.numerator) * (den // int(q.denominator)) for q in fracs]
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def sign_normalized(vec):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from coconvex import cli
 from coconvex.cli import main
 from coconvex.jsonio import write_json_file
 
@@ -135,6 +136,27 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "suite", "--dim", "7")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ArithmeticError("root comparison did not separate from zero"),
+        AssertionError("rank drop in reduced constraint system"),
+    ],
+    ids=["ArithmeticError", "AssertionError"],
+)
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, exc):
+    body = tmp_path / "body.json"
+    assert run_cli(capsys, "gen", "body", "--out", str(body))[0] == 0
+
+    def broken(_):
+        raise exc
+
+    monkeypatch.setattr(cli, "volume", broken)
+    code, out, err = run_cli(capsys, "volume", str(body))
+    assert code == 3 and out == ""
+    assert err == f"coconvex: internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_out_writes_identical_bytes(tmp_path, capsys):

@@ -1,7 +1,13 @@
 """The cone converter is the single engine under every representation
 change, so its edge cases get direct coverage here."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from coconvex import dd, linalg
 from coconvex.dd import cone_extreme_rays
+from coconvex.rational import Rat
+from dd_reference import cone_extreme_rays as reference_cone_extreme_rays
 
 
 def test_orthant_from_inequalities():
@@ -59,8 +65,79 @@ def test_duality_round_trip():
 
 
 def test_rational_rows_are_scaled():
-    from coconvex.rational import Rat
-
     rays, lin = cone_extreme_rays([(Rat(1, 2), 0), (0, Rat(1, 3))], 2)
     assert rays == [(0, 1), (1, 0)]
     assert lin == []
+
+
+def test_kernel_builds_no_rationals(monkeypatch):
+    # Integer rows never reach the Rat coercion in primitive_integer, and
+    # nothing after it builds one.
+    def forbidden(*args):
+        raise AssertionError("the double description kernel built a Rat")
+
+    monkeypatch.setattr(linalg, "Rat", forbidden)
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 0), (2, 2, -2, 0), (0, 0, 0, 0)]
+    rays, lin = cone_extreme_rays(rows, 4)
+    assert lin == [(0, 0, 0, 1)]
+    assert set(rays) == {(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)}
+
+
+entry = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Rat, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@st.composite
+def cone_inputs(draw):
+    """Constraint rows in dims 1-5 with ints and Rats mixed, plus duplicate,
+    scaled, negated (lineality), summed (redundant) and zero rows."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[entry] * dim), max_size=7))
+    extra = []
+    for row in rows:
+        kind = draw(st.sampled_from(["none", "duplicate", "scaled", "negated"]))
+        if kind == "duplicate":
+            extra.append(row)
+        elif kind == "scaled":
+            extra.append(tuple(Rat(3, 2) * x for x in row))
+        elif kind == "negated":
+            extra.append(tuple(-x for x in row))
+    if len(rows) >= 2 and draw(st.booleans()):
+        extra.append(tuple(a + b for a, b in zip(rows[0], rows[1])))
+    if draw(st.booleans()):
+        extra.append((0,) * dim)
+    return draw(st.permutations(rows + extra)), dim
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cone_inputs())
+@example(([], 3))  # no rows
+@example(([(0, 0), (0, 0)], 2))  # only zero rows: full lineality, r == 0
+@example(([(1, 0, 0), (Rat(-1, 2), 0, 0), (0, 1, 1)], 3))  # 0 < r < dim
+@example(([(1, 0), (-1, 0), (0, 1), (0, -1)], 2))  # only the origin
+@example(([(1, 1, 0), (0, 1, 1), (1, 0, 1), (-2, -2, -2)], 3))  # only the origin
+@example(([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+           (0, 0, 0, 0, 1), (1, 1, 1, 1, -1), (1, -1, 1, -1, 1)], 5))
+def test_matches_rational_kernel(case):
+    rows, dim = case
+    assert cone_extreme_rays(rows, dim) == reference_cone_extreme_rays(rows, dim)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=7),
+            st.just(dim),
+        )
+    )
+)
+def test_row_space_is_the_rational_rref(case):
+    # The row-space basis is the reduced row echelon form made primitive,
+    # and the lineality basis is the rational nullspace basis.
+    rows, dim = case
+    w_basis, lineality = dd._row_space(rows, dim)
+    assert w_basis == [linalg.primitive_integer(r) for r in linalg.rref(rows, dim)[0]]
+    assert lineality == linalg.nullspace_basis(rows, dim)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coconvex.linalg import (
@@ -13,17 +13,14 @@ from coconvex.linalg import (
     sign_normalized,
     solve_square,
     vadd,
-    vscale,
-    vsub,
 )
 from coconvex.rational import Rat
+from dd_reference import primitive_integer as reference_primitive_integer
 
 
 def test_vector_helpers():
     assert dot((1, 2, 3), (4, 5, 6)) == 32
     assert vadd((1, 2), (3, 4)) == (4, 6)
-    assert vsub((1, 2), (3, 4)) == (-2, -2)
-    assert vscale(3, (1, Rat(1, 3))) == (3, 1)
 
 
 def test_primitive_integer_clears_denominators_and_content():
@@ -31,6 +28,26 @@ def test_primitive_integer_clears_denominators_and_content():
     assert primitive_integer((4, -6)) == (2, -3)
     assert primitive_integer((0, 0)) == (0, 0)
     assert primitive_integer((0, -5)) == (0, -1)
+
+
+mixed_entry = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Rat, st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(mixed_entry, max_size=6))
+@example([])
+@example([0, 0, 0])
+@example([-4, 6, 0])
+@example([Rat(-1, 2), Rat(0), Rat(3, 4)])
+@example([Rat(2), -6, Rat(-4, 1)])
+def test_primitive_integer_matches_rational_formula(vec):
+    for v in (vec, tuple(vec)):
+        got = primitive_integer(v)
+        assert got == reference_primitive_integer(v)
+        assert all(type(x) is int for x in got)
 
 
 def test_sign_normalized():
