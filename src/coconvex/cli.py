@@ -11,6 +11,7 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .cones import co_volume
@@ -158,11 +159,12 @@ def _cmd_lift_verify(args) -> int:
     if not is_coconvex:
         raise CoconvexError("lift-verify expects a coconvex family")
     lf = lift(fam)
+    base = co_volume_polynomial(fam)
     poly = lifted_volume_polynomial(lf)
     reports = {
-        "V": verify_identity_V(lf),
-        "Q": verify_identity_Q(lf, lifted_poly=poly),
-        "signature": verify_signature_argument(lf, lifted_poly=poly),
+        "V": verify_identity_V(lf, base),
+        "Q": verify_identity_Q(lf, poly, base),
+        "signature": verify_signature_argument(lf, poly, base),
     }
     ok = all(r["status"] == "ok" for r in reports.values())
     _emit(dump_json({"reports": reports, "status": "ok" if ok else "fail"}), args.out)
@@ -195,17 +197,7 @@ def _cmd_suite(args) -> int:
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
         overrides["suite"] = tuple(ALL_SUITES) if names == ["all"] else tuple(names)
-    if overrides:
-        base = {
-            "dim": cfg.dim,
-            "n_generators": cfg.n_generators,
-            "n_trials": cfg.n_trials,
-            "seed": cfg.seed,
-            "coordinate_bound": cfg.coordinate_bound,
-            "suite": cfg.suite,
-        }
-        base.update(overrides)
-        cfg = ExperimentConfig(**base)
+    cfg = dataclasses.replace(cfg, **overrides)
     report = run_suite(cfg)
     if args.format == "csv":
         _emit(_suite_csv(report), args.out)

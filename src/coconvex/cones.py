@@ -192,8 +192,9 @@ def co_scale(factor, body: CoconvexBody) -> CoconvexBody:
 
 
 def co_sum(a: CoconvexBody, b: CoconvexBody) -> CoconvexBody:
-    """Coconvex addition: Minkowski-add the complements over a shared cone,
-    then revalidate everything."""
+    """Coconvex addition: Minkowski-add the complements over a shared cone.
+    Only the cone is checked: the summands were validated by make_coconvex
+    when built, and a sum of coconvex bodies over one cone is coconvex."""
     if a.cone != b.cone:
         raise ConeMismatch("coconvex addition needs one shared cone")
-    return make_coconvex(a.cone, minkowski_sum(a.complement, b.complement))
+    return CoconvexBody(a.cone, minkowski_sum(a.complement, b.complement))

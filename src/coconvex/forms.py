@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import factorial
 
-from .cones import Cone, CoconvexBody, co_volume, make_coconvex
+from .cones import Cone, CoconvexBody, co_volume
 from .errors import (
     CoconvexError,
     ConeMismatch,
@@ -179,15 +179,16 @@ def volume_polynomial_interpolated(fam: ConvexFamily) -> HomogeneousPolynomial:
 
 
 def co_combination_body(fam: CoconvexFamily, lam) -> CoconvexBody:
-    """Coconvex combination with strictly positive coefficients; the result
-    is revalidated, so invalid combinations fail loudly."""
+    """Coconvex combination with strictly positive coefficients.  Only lam is
+    checked: the generators were validated by make_coconvex when built, and
+    such a combination over one cone is coconvex."""
     lam = [Rat(x) for x in lam]
     if len(lam) != len(fam.generators):
         raise DimensionMismatch("coefficient vector length differs from generator count")
     if any(x <= 0 for x in lam):
         raise CoconvexError("coconvex combinations need strictly positive coefficients")
     parts = [gen.complement.scale(x) for gen, x in zip(fam.generators, lam)]
-    return make_coconvex(fam.cone, reduce(minkowski_sum, parts))
+    return CoconvexBody(fam.cone, reduce(minkowski_sum, parts))
 
 
 def co_volume_polynomial(fam: CoconvexFamily) -> HomogeneousPolynomial:

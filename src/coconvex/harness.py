@@ -256,12 +256,21 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
+    """Config from its JSON form; values are type-checked, never coerced."""
+    if not isinstance(obj, dict):
+        raise CoconvexError("experiment config must be a JSON object")
     kwargs = {}
     for key in ("dim", "n_generators", "n_trials", "seed", "coordinate_bound"):
         if key in obj:
-            kwargs[key] = int(obj[key])
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise CoconvexError(f"config field {key!r} must be an integer")
+            kwargs[key] = value
     if "suite" in obj:
-        kwargs["suite"] = tuple(obj["suite"])
+        names = obj["suite"]
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise CoconvexError("config field 'suite' must be a list of suite names")
+        kwargs["suite"] = tuple(names)
     return ExperimentConfig(**kwargs)
 
 
@@ -460,14 +469,12 @@ def _lift_trial(which):
     def run(rng, cfg, corrupt_form=False):
         fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
         lf = lift(fam)
+        base = co_volume_polynomial(fam)
         if which == "V":
-            report = verify_identity_V(lf)
+            report = verify_identity_V(lf, base)
         else:
-            poly = lifted_volume_polynomial(lf)
-            if which == "Q":
-                report = verify_identity_Q(lf, lifted_poly=poly)
-            else:
-                report = verify_signature_argument(lf, lifted_poly=poly)
+            verify = verify_identity_Q if which == "Q" else verify_signature_argument
+            report = verify(lf, lifted_volume_polynomial(lf), base)
         if report["status"] != "ok":
             return False, {
                 "check": f"lift_identity_{which}",

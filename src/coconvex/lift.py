@@ -11,9 +11,11 @@ families together:
     (Q)  lifted quadratic matrix      = blockdiag(-base quadratic, 2 c')
 
 with c the volume of the unit cone sector and c' = c times the product of
-the marked levels.  The verifiers below compute both sides through
-independent code paths and compare exactly; the signature bookkeeping that
-turns (Q) into nonnegativity of the base form is checked last.
+the marked levels.  The verifiers below compare exactly the two sides, which
+the caller computes once through independent code paths: the lifted
+polynomial with lifted_volume_polynomial, the base one with
+forms.co_volume_polynomial.  The signature bookkeeping that turns (Q) into
+nonnegativity of the base form is checked last.
 """
 
 from __future__ import annotations
@@ -23,11 +25,7 @@ from functools import reduce
 
 from .cones import cone_polyhedron, truncation_threshold
 from .errors import CoconvexError, InvalidTruncation
-from .forms import (
-    CoconvexFamily,
-    co_volume_polynomial,
-    polynomial_af_forms,
-)
+from .forms import CoconvexFamily, polynomial_af_forms
 from .linalg import dot
 from .polynomial import (
     HomogeneousPolynomial,
@@ -154,20 +152,19 @@ def lifted_volume_polynomial(lf: LiftedFamily) -> HomogeneousPolynomial:
 
 
 def recovered_base_polynomial(
-    lf: LiftedFamily, lifted_poly: HomogeneousPolynomial | None = None
+    lf: LiftedFamily, lifted_poly: HomogeneousPolynomial
 ) -> HomogeneousPolynomial:
     """Read the base volume polynomial off the lifted one.
 
     The lifted polynomial must be exactly c * t^d minus a t-free part; any
     other shape falsifies identity (V) and raises.
     """
-    Pa = lifted_poly if lifted_poly is not None else lifted_volume_polynomial(lf)
     c = sector_constant(lf)
     n = len(lf.base.generators)
     d = lf.base.dim
     out = {}
     seen_pure = False
-    for exps, coef in Pa.coeffs.items():
+    for exps, coef in lifted_poly.coeffs.items():
         base_exps, te = exps[:-1], exps[-1]
         if te == 0:
             out[base_exps] = -coef
@@ -198,14 +195,13 @@ def default_lift_samples(lf: LiftedFamily, count: int = 5):
     return out
 
 
-def verify_identity_V(lf: LiftedFamily, samples=None, base_poly=None) -> dict:
+def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     """Check vol(lifted body) = c * t^d - covol(lam) at every sample.
 
-    The left side is a direct polytope volume; the right side evaluates the
-    interpolated base polynomial.  First mismatch is reported in full.
+    The left side is a direct polytope volume; the right side evaluates
+    base_poly, the interpolated base polynomial (co_volume_polynomial of
+    lf.base).  First mismatch is reported in full.
     """
-    if base_poly is None:
-        base_poly = co_volume_polynomial(lf.base)
     c = sector_constant(lf)
     d = lf.base.dim
     if samples is None:
@@ -234,24 +230,22 @@ def verify_identity_V(lf: LiftedFamily, samples=None, base_poly=None) -> dict:
     }
 
 
-def _lifted_quadratic(lf: LiftedFamily, lifted_poly=None):
-    Pa = lifted_poly if lifted_poly is not None else lifted_volume_polynomial(lf)
+def _quadratic_blocks(lf: LiftedFamily, lifted_poly, base_poly):
+    """Lifted quadratic matrix, base quadratic matrix, and c'."""
     vectors = [tuple(v) + (s,) for v, s in lf.lifted_marked]
-    return polynomial_af_forms(Pa, vectors)
+    _, q_lift = polynomial_af_forms(lifted_poly, vectors)
+    _, q_base = polynomial_af_forms(base_poly, lf.base.marked)
+    cp = sector_constant(lf)
+    for _, s in lf.lifted_marked:
+        cp = cp * s
+    return q_lift, q_base, cp
 
 
-def verify_identity_Q(lf: LiftedFamily, lifted_poly=None, base_poly=None) -> dict:
+def verify_identity_Q(lf: LiftedFamily, lifted_poly, base_poly) -> dict:
     """Entry-wise check of the block shape of the lifted quadratic matrix:
     the base block is the negated base quadratic, the cutoff block is 2c',
     and the two never mix."""
-    if base_poly is None:
-        base_poly = co_volume_polynomial(lf.base)
-    _, q_lift = _lifted_quadratic(lf, lifted_poly)
-    _, q_base = polynomial_af_forms(base_poly, lf.base.marked)
-    c = sector_constant(lf)
-    cp = c
-    for _, s in lf.lifted_marked:
-        cp = cp * s
+    q_lift, q_base, cp = _quadratic_blocks(lf, lifted_poly, base_poly)
     n = len(lf.base.generators)
     mismatches = []
     for i in range(n + 1):
@@ -279,19 +273,12 @@ def _combine(a: Signature, b: Signature) -> Signature:
     return Signature(a.pos + b.pos, a.neg + b.neg, a.zero + b.zero)
 
 
-def verify_signature_argument(lf: LiftedFamily, lifted_poly=None, base_poly=None) -> dict:
+def verify_signature_argument(lf: LiftedFamily, lifted_poly, base_poly) -> dict:
     """Signature bookkeeping: the lifted form has exactly one positive
     square, the cutoff block contributes (1,0), the rest is the negated base
     form, and additivity over the disjoint variable split forces the base
     form to have no negative squares."""
-    if base_poly is None:
-        base_poly = co_volume_polynomial(lf.base)
-    _, q_lift = _lifted_quadratic(lf, lifted_poly)
-    _, q_base = polynomial_af_forms(base_poly, lf.base.marked)
-    c = sector_constant(lf)
-    cp = c
-    for _, s in lf.lifted_marked:
-        cp = cp * s
+    q_lift, q_base, cp = _quadratic_blocks(lf, lifted_poly, base_poly)
     sig_lift = signature(q_lift)
     sig_sector = signature(((2 * cp,),))
     sig_negated = signature(tuple(tuple(-x for x in row) for row in q_base))

@@ -20,6 +20,7 @@ from coconvex.forms import (
     mink2_check,
     af_form,
     make_convex_family,
+    polynomial_af_forms,
     reversed_bm_check,
     reversed_cs_check,
     volume_polynomial,
@@ -98,7 +99,7 @@ def coconvex_population():
             rng = SplitMix64(204).derive(f"coconvex:{d}:{n}:{k}")
             fam = gen_coconvex_family(rng, d, n, 3)
             P = co_volume_polynomial(fam)
-            B, Q = co_af_form(fam)
+            B, Q = polynomial_af_forms(P, fam.marked)
             out.append((fam, P, B, Q))
     return out
 
@@ -164,10 +165,11 @@ def test_criterion_5_lifting_identities():
             rng = SplitMix64(206).derive(f"lift:{d}:{k}")
             fam = gen_coconvex_family(rng, d, 1 + k % 2, 2)
             lf = lift(fam)
+            base = co_volume_polynomial(fam)
             poly = lifted_volume_polynomial(lf)
-            rv = verify_identity_V(lf)
-            rq = verify_identity_Q(lf, lifted_poly=poly)
-            rs = verify_signature_argument(lf, lifted_poly=poly)
+            rv = verify_identity_V(lf, base)
+            rq = verify_identity_Q(lf, poly, base)
+            rs = verify_signature_argument(lf, poly, base)
             if rv["samples"] < 5:
                 ok = False
             if any(r["status"] != "ok" for r in (rv, rq, rs)):

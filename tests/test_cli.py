@@ -136,6 +136,12 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "suite", "--dim", "7")
     assert code == 2
+    # config values are never coerced: float, bool, string number, bare string
+    cfg = tmp_path / "cfg.json"
+    for text in ('{"dim": 2.9, "n_trials": true, "seed": "5"}', '{"suite": "af"}'):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+        assert code == 2 and out == "" and "coconvex:" in err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coconvex.cones import co_volume, make_coconvex, make_cone
+from coconvex.cones import co_sum, co_volume, make_coconvex, make_cone
 from coconvex.errors import (
     CoconvexError,
     ConeMismatch,
@@ -33,6 +33,7 @@ from coconvex.forms import (
     volume_polynomial,
     volume_polynomial_interpolated,
 )
+from coconvex.harness import SplitMix64, gen_coconvex_family, gen_positive_vector
 from coconvex.polynomial import HomogeneousPolynomial, signature
 from coconvex.polytope import convex_hull, volume
 from coconvex.rational import Rat
@@ -284,6 +285,21 @@ def test_co_combination_requires_positive_weights(skew_pair):
         co_combination_body(skew_pair, (1, 0))
     with pytest.raises(CoconvexError):
         co_combination_body(skew_pair, (0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_trusted_combinations_stay_coconvex(d, n):
+    # co_combination_body and co_sum assemble their result without
+    # make_coconvex; the full validation here keeps that shortcut honest
+    rng = SplitMix64(31).derive(f"trusted:{d}:{n}")
+    fam = gen_coconvex_family(rng, d, n, 3)
+    for _ in range(2):
+        body = co_combination_body(fam, gen_positive_vector(rng, n))
+        assert make_coconvex(fam.cone, body.complement) == body
+        assert co_volume(body) > 0
+        total = co_sum(body, fam.generators[-1])
+        assert make_coconvex(fam.cone, total.complement) == total
 
 
 def test_coconvex_family_needs_shared_cone(corner_triangle):

@@ -138,6 +138,35 @@ def test_config_json_round_trip():
     assert config_from_json({}) == ExperimentConfig()
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"dim": 2.9},
+        {"n_trials": True},
+        {"seed": "5"},
+        {"coordinate_bound": None},
+        {"suite": "af"},
+        {"suite": ["af", 3]},
+        {"suite": {"af": 1}},
+        ["dim", 2],
+    ],
+    ids=[
+        "float",
+        "bool",
+        "string_int",
+        "null",
+        "string_suite",
+        "non_string_name",
+        "object_suite",
+        "not_object",
+    ],
+)
+def test_config_from_json_rejects_coercible_values(obj):
+    # rejected for its type, not later for an odd value it was coerced to
+    with pytest.raises(CoconvexError, match="must be"):
+        config_from_json(obj)
+
+
 def test_run_suite_shape_and_determinism():
     cfg = ExperimentConfig(n_trials=2, seed=7, suite=("kernel", "af", "co_af"))
     rep1 = run_suite(cfg)

@@ -21,6 +21,11 @@ from coconvex.polytope import convex_hull, volume
 from coconvex.rational import Rat
 
 
+def _polys(lf):
+    """(lifted, base) volume polynomials, each from its own route."""
+    return lifted_volume_polynomial(lf), co_volume_polynomial(lf.base)
+
+
 @pytest.fixture
 def triangle_lift(corner_triangle):
     return lift(make_coconvex_family([corner_triangle]))
@@ -102,7 +107,7 @@ def test_lifted_volume_polynomial_pair(pair_lift):
 
 
 def test_recovered_base_polynomial(pair_lift):
-    base = recovered_base_polynomial(pair_lift)
+    base = recovered_base_polynomial(pair_lift, lifted_volume_polynomial(pair_lift))
     assert base == co_volume_polynomial(pair_lift.base)
 
 
@@ -124,7 +129,7 @@ def test_default_samples_are_valid(pair_lift):
 
 def test_identity_V(triangle_lift, pair_lift, simplex_lift):
     for lf in (triangle_lift, pair_lift, simplex_lift):
-        report = verify_identity_V(lf)
+        report = verify_identity_V(lf, co_volume_polynomial(lf.base))
         assert report == {
             "identity": "V",
             "status": "ok",
@@ -136,7 +141,7 @@ def test_identity_V(triangle_lift, pair_lift, simplex_lift):
 
 def test_identity_V_detects_wrong_base(triangle_lift):
     wrong = HomogeneousPolynomial(1, 2, {(2,): Rat(1, 3)})
-    report = verify_identity_V(triangle_lift, base_poly=wrong)
+    report = verify_identity_V(triangle_lift, wrong)
     assert report["status"] == "fail"
     ce = report["counterexample"]
     assert set(ce) == {"lam", "t", "lifted_volume", "cutoff_minus_covolume"}
@@ -144,14 +149,15 @@ def test_identity_V_detects_wrong_base(triangle_lift):
 
 def test_identity_Q(triangle_lift, pair_lift, simplex_lift):
     for lf in (triangle_lift, pair_lift, simplex_lift):
-        report = verify_identity_Q(lf)
+        report = verify_identity_Q(lf, *_polys(lf))
         assert report["status"] == "ok"
         assert report["counterexample"] is None
 
 
 def test_identity_Q_detects_tampering(triangle_lift):
     tampered = HomogeneousPolynomial(2, 2, {(0, 2): Rat(1, 2), (2, 0): Rat(1, 2)})
-    report = verify_identity_Q(triangle_lift, lifted_poly=tampered)
+    base = co_volume_polynomial(triangle_lift.base)
+    report = verify_identity_Q(triangle_lift, tampered, base)
     assert report["status"] == "fail"
     entries = report["counterexample"]["entries"]
     assert entries and all(set(e) == {"row", "col", "got", "expected"} for e in entries)
@@ -159,7 +165,7 @@ def test_identity_Q_detects_tampering(triangle_lift):
 
 def test_signature_argument(triangle_lift, pair_lift, simplex_lift):
     for lf in (triangle_lift, pair_lift, simplex_lift):
-        report = verify_signature_argument(lf)
+        report = verify_signature_argument(lf, *_polys(lf))
         assert report["status"] == "ok"
         assert report["samples"] == 4
 
@@ -169,7 +175,8 @@ def test_signature_argument_detects_tampering(pair_lift):
     good = lifted_volume_polynomial(pair_lift)
     flipped = {e: (-c if e[-1] == 0 else c) for e, c in good.coeffs.items()}
     tampered = HomogeneousPolynomial(good.nvars, good.degree, flipped)
-    report = verify_signature_argument(pair_lift, lifted_poly=tampered)
+    base = co_volume_polynomial(pair_lift.base)
+    report = verify_signature_argument(pair_lift, tampered, base)
     assert report["status"] == "fail"
     assert "lifted_form_one_positive" in report["counterexample"]["failed"]
 
@@ -179,9 +186,10 @@ def test_lift_on_slanted_cone():
     K = convex_hull([(1, 0), (1, 2)], rays=cone.rays)
     fam = make_coconvex_family([make_coconvex(cone, K)])
     lf = lift(fam)
-    for name, verify in (
-        ("V", verify_identity_V),
-        ("Q", verify_identity_Q),
-        ("sig", verify_signature_argument),
+    poly, base = _polys(lf)
+    for name, report in (
+        ("V", verify_identity_V(lf, base)),
+        ("Q", verify_identity_Q(lf, poly, base)),
+        ("sig", verify_signature_argument(lf, poly, base)),
     ):
-        assert verify(lf)["status"] == "ok", name
+        assert report["status"] == "ok", name
