@@ -24,7 +24,7 @@ from .errors import (
     NotFullDimensional,
     NotStrictlyConvex,
 )
-from .linalg import dot, primitive_integer, rank
+from .linalg import dot, primitive_integer
 from .polytope import (
     Halfspace,
     Polyhedron,

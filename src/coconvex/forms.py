@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from math import factorial
 
 from .cones import Cone, CoconvexBody, co_volume
@@ -109,8 +110,12 @@ def make_coconvex_family(generators, marked=None) -> CoconvexFamily:
 def mixed_volume(bodies):
     """Fully polarized volume of d bodies in dimension d.
 
-    Inclusion-exclusion over Minkowski subset sums; partial sums are built
-    incrementally so each one is assembled exactly once.
+    Inclusion-exclusion over Minkowski subset sums.  A subset sum depends
+    only on how many copies of each distinct body it takes, so sums are
+    keyed by that multiplicity vector and each is assembled once: a single
+    body taken c times is its dilate by c (c * P = P + ... + P for convex
+    P), and any other key is one minkowski_sum onto the key with one copy
+    fewer of its last body.
     """
     bodies = tuple(bodies)
     if not bodies:
@@ -127,14 +132,29 @@ def mixed_volume(bodies):
             raise EmptyInput("mixed volume of an empty body")
     if all(P == bodies[0] for P in bodies[1:]):
         return volume(bodies[0])
+    distinct = list(dict.fromkeys(bodies))
+    slot = [distinct.index(P) for P in bodies]
+    counts = [slot.count(i) for i in range(len(distinct))]
+    # Lexicographic order builds each key after the key it extends.
+    sums: dict[tuple, Polyhedron] = {}
+    for key in product(*(range(c + 1) for c in counts)):
+        used = [i for i, c in enumerate(key) if c]
+        if not used:
+            continue
+        last = used[-1]
+        if len(used) == 1:
+            body = distinct[last] if key[last] == 1 else distinct[last].scale(key[last])
+        else:
+            fewer = key[:last] + (key[last] - 1,) + key[last + 1 :]
+            body = minkowski_sum(sums[fewer], distinct[last])
+        sums[key] = body
     total = ZERO
-    sums: dict[int, Polyhedron] = {}
     for mask in range(1, 1 << d):
-        low = mask & -mask
-        rest = mask ^ low
-        part = bodies[low.bit_length() - 1]
-        body = part if not rest else minkowski_sum(sums[rest], part)
-        sums[mask] = body
+        key = [0] * len(distinct)
+        for pos in range(d):
+            if mask >> pos & 1:
+                key[slot[pos]] += 1
+        body = sums[tuple(key)]
         if (d - mask.bit_count()) % 2:
             total = total - volume(body)
         else:

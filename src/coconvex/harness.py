@@ -256,11 +256,16 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
-    """Config from its JSON form; values are type-checked, never coerced."""
+    """Config from its JSON form; values are type-checked, never coerced,
+    and unknown fields are rejected."""
     if not isinstance(obj, dict):
         raise CoconvexError("experiment config must be a JSON object")
+    int_fields = ("dim", "n_generators", "n_trials", "seed", "coordinate_bound")
+    unknown = [key for key in obj if key not in int_fields and key != "suite"]
+    if unknown:
+        raise CoconvexError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
     kwargs = {}
-    for key in ("dim", "n_generators", "n_trials", "seed", "coordinate_bound"):
+    for key in int_fields:
         if key in obj:
             value = obj[key]
             if isinstance(value, bool) or not isinstance(value, int):

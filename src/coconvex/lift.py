@@ -100,14 +100,17 @@ def combination_threshold(lf: LiftedFamily, lam):
     return truncation_threshold(_combination_complement(lf, lam), lf.xi)
 
 
-def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
-    """The convex body at (lam, t): combination complement cut at level t."""
-    lam = _positive_coefficients(lf, lam)
-    t = Rat(t)
-    K = _combination_complement(lf, lam)
+def _cut_complement(lf: LiftedFamily, K: Polyhedron, t) -> Polyhedron:
+    """Combination complement K cut at level t, once t clears its vertices."""
     if t <= truncation_threshold(K, lf.xi):
         raise InvalidTruncation("cutoff does not clear the combination's vertices")
     return clip(K, Halfspace.make(lf.xi, t))
+
+
+def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
+    """The convex body at (lam, t): combination complement cut at level t."""
+    lam = _positive_coefficients(lf, lam)
+    return _cut_complement(lf, _combination_complement(lf, lam), Rat(t))
 
 
 def lifted_body_materialized(lf: LiftedFamily, lam, t) -> Polyhedron:
@@ -181,8 +184,9 @@ def recovered_base_polynomial(
     return HomogeneousPolynomial(n, d, out)
 
 
-def default_lift_samples(lf: LiftedFamily, count: int = 5):
-    """Deterministic (lam, t) samples, each valid for its own combination."""
+def _default_samples(lf: LiftedFamily, count: int):
+    """(lam, t, K) per default sample, K the combination complement that
+    fixed t."""
     n = len(lf.base.generators)
     out = []
     for j in range(count):
@@ -190,9 +194,15 @@ def default_lift_samples(lf: LiftedFamily, count: int = 5):
         if j:
             lam[(j - 1) % n] += 1 + (j - 1) // n
         lam = tuple(lam)
-        t = combination_threshold(lf, lam) + 1 + (j % 2)
-        out.append((lam, t))
+        K = _combination_complement(lf, lam)
+        t = truncation_threshold(K, lf.xi) + 1 + (j % 2)
+        out.append((lam, t, K))
     return out
+
+
+def default_lift_samples(lf: LiftedFamily, count: int = 5):
+    """Deterministic (lam, t) samples, each valid for its own combination."""
+    return [(lam, t) for lam, t, _ in _default_samples(lf, count)]
 
 
 def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
@@ -205,13 +215,17 @@ def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     c = sector_constant(lf)
     d = lf.base.dim
     if samples is None:
-        samples = default_lift_samples(lf)
+        cases = _default_samples(lf, 5)
+    else:
+        cases = [(lam, t, None) for lam, t in samples]
     checked = 0
     counterexample = None
-    for lam, t in samples:
+    for lam, t, K in cases:
         lam = _positive_coefficients(lf, lam)
         t = Rat(t)
-        lhs = volume(lifted_body(lf, lam, t))
+        if K is None:
+            K = _combination_complement(lf, lam)
+        lhs = volume(_cut_complement(lf, K, t))
         rhs = c * t**d - base_poly.evaluate(lam)
         checked += 1
         if lhs != rhs:

@@ -6,18 +6,32 @@ integer generators of the recession cone.  Conversion to and from facet
 form goes through the homogenization cone in one extra dimension, so both
 directions are the same double description computation.
 
-Volume uses the facet-pyramid recursion.  The height-times-facet-area term
-is kept rational by measuring each facet in a dropped-coordinate chart:
-for a facet with normal a, projecting out coordinate j scales (d-1)-volume
-by |a_j| / |a|, which cancels the |a| in the apex distance.
+Volume runs on integers.  The vertices are scaled once by L, the lcm of
+their coordinate denominators, which makes P a lattice polytope LP; the
+recursion then computes the normalized volume N_k = k! * vol_k of lattice
+polytopes and the result is the single rational N_d / (d! * L^d).  Each
+level is the facet-pyramid decomposition from the first vertex: for a
+facet {a . x = b} with a primitive integer normal, projecting out a
+coordinate j with a_j != 0 scales (k-1)-volume by |a_j| / |a|, which
+cancels the |a| in the apex distance, so the pyramid over the facet has
+
+    N_k(pyramid) = |b - a . apex| * N_{k-1}(projected facet) / |a_j|.
+
+Every term is an exact integer: the pyramid and the projected facet are
+lattice polytopes, and a lattice polytope's normalized volume is an
+integer because it triangulates into lattice simplices, whose normalized
+volumes are determinants of integer matrices.  The base cases are twice
+the shoelace area of the planar hull and the length max - min of a
+segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, lcm
 
-from .dd import cone_extreme_rays
+from .dd import _gauss_jordan, cone_extreme_rays
 from .errors import (
     CoconvexError,
     DimensionMismatch,
@@ -25,7 +39,7 @@ from .errors import (
     NotPointed,
     UnboundedPolyhedron,
 )
-from .linalg import dot, primitive_integer, rank, vadd
+from .linalg import dot, primitive_integer, vadd
 from .rational import Rat, ZERO
 
 
@@ -93,16 +107,27 @@ def _as_rat_points(points, dim):
     return out
 
 
+def _lattice_scaled(points):
+    """(L, points scaled by L): L is the lcm of the coordinate denominators,
+    so the scaled points are integer tuples.  Builds no Rat."""
+    L = lcm(*(int(x.denominator) for p in points for x in p))
+    return L, [tuple(int(x.numerator) * (L // int(x.denominator)) for x in p) for p in points]
+
+
+def _affine_rank(points, rays, dim) -> int:
+    """Dimension of the affine hull of integer points plus integer rays, by
+    fraction-free elimination."""
+    base = points[0]
+    rows = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
+    rows.extend(rays)
+    return len(_gauss_jordan(rows, dim)[0])
+
+
 def affine_dimension(P: Polyhedron) -> int:
     """Dimension of the affine hull; -1 for the empty polyhedron."""
     if P.is_empty:
         return -1
-    base = P.vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, base)) for v in P.vertices[1:]]
-    diffs.extend(P.rays)
-    if not diffs:
-        return 0
-    return rank(diffs, P.dim)
+    return _affine_rank(_lattice_scaled(P.vertices)[1], P.rays, P.dim)
 
 
 def _canonical_from_generators(points, rays, dim) -> Polyhedron:
@@ -146,8 +171,9 @@ def convex_hull(points, rays=()) -> Polyhedron:
 
 
 def _facets_of_point_set(verts, dim):
-    """Facets (normal, bound) in <= form of a full-dimensional conv(verts)."""
-    gens = [(Rat(1),) + tuple(v) for v in verts]
+    """Facets (normal, bound) in <= form of a full-dimensional conv(verts);
+    integer points give integer facets."""
+    gens = [(1,) + tuple(v) for v in verts]
     dual_rays, dual_lin = cone_extreme_rays(gens, dim + 1)
     if dual_lin:
         raise AssertionError("facet scan on a degenerate point set")
@@ -248,10 +274,12 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _convex_polygon_area(points):
+def _twice_polygon_area(points) -> int:
+    """Twice the area of the hull of planar integer points: the shoelace sum
+    over the monotone-chain hull."""
     pts = sorted(set(points))
     if len(pts) < 3:
-        return ZERO
+        return 0
     lower = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -263,22 +291,23 @@ def _convex_polygon_area(points):
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
-    twice = ZERO
+    twice = 0
     for i in range(len(hull)):
         x0, y0 = hull[i]
         x1, y1 = hull[(i + 1) % len(hull)]
         twice += x0 * y1 - x1 * y0
-    return abs(twice) / 2
+    return abs(twice)
 
 
-def _volume_full_dim(verts, k):
+def _normalized_volume(verts, k) -> int:
+    """k! times the k-volume of the full-dimensional hull of integer points."""
     if k == 1:
         coords = [v[0] for v in verts]
-        return Rat(max(coords) - min(coords))
+        return max(coords) - min(coords)
     if k == 2:
-        return _convex_polygon_area(verts)
+        return _twice_polygon_area(verts)
     apex = verts[0]
-    total = ZERO
+    total = 0
     for normal, bound in _facets_of_point_set(verts, k):
         height = bound - dot(normal, apex)
         if height == 0:
@@ -287,8 +316,11 @@ def _volume_full_dim(verts, k):
         fverts = tuple(
             v[:j] + v[j + 1 :] for v in verts if dot(normal, v) == bound
         )
-        total += abs(Rat(height)) * _volume_full_dim(fverts, k - 1) / abs(normal[j])
-    return total / k
+        term, rest = divmod(abs(height) * _normalized_volume(fverts, k - 1), abs(normal[j]))
+        if rest:
+            raise AssertionError("lattice pyramid with a fractional normalized volume")
+        total += term
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -300,9 +332,13 @@ def volume(P: Polyhedron):
     """
     if not P.is_bounded:
         raise UnboundedPolyhedron("volume needs a bounded polyhedron")
-    if P.is_empty or affine_dimension(P) < P.dim:
+    if P.is_empty:
         return ZERO
-    return _volume_full_dim(P.vertices, P.dim)
+    L, points = _lattice_scaled(P.vertices)
+    d = P.dim
+    if _affine_rank(points, (), d) < d:
+        return ZERO
+    return Rat(_normalized_volume(points, d), factorial(d) * L**d)
 
 
 def translate(P: Polyhedron, vec) -> Polyhedron:

@@ -142,6 +142,10 @@ def test_error_exit_codes(tmp_path, capsys):
         cfg.write_text(text)
         code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
         assert code == 2 and out == "" and "coconvex:" in err
+    # nor are unknown fields ignored
+    cfg.write_text('{"dims": 3, "n_trial": 1, "suite": ["kernel"]}')
+    code, out, err = run_cli(capsys, "suite", "--config", str(cfg))
+    assert code == 2 and out == "" and "'dims'" in err
 
 
 @pytest.mark.parametrize(

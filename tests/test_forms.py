@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import permutations
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coconvex import forms
 from coconvex.cones import co_sum, co_volume, make_coconvex, make_cone
 from coconvex.errors import (
     CoconvexError,
@@ -35,7 +37,7 @@ from coconvex.forms import (
 )
 from coconvex.harness import SplitMix64, gen_coconvex_family, gen_positive_vector
 from coconvex.polynomial import HomogeneousPolynomial, signature
-from coconvex.polytope import convex_hull, volume
+from coconvex.polytope import convex_hull, minkowski_sum, volume
 from coconvex.rational import Rat
 
 
@@ -105,6 +107,54 @@ def test_mixed_volume_translation_invariant(square_and_box):
 
     moved = translate(box, (Rat(-7, 3), 5))
     assert mixed_volume([sq, moved]) == mixed_volume([sq, box])
+
+
+def plain_mixed_volume(bodies):
+    """Inclusion-exclusion over all 2^d - 1 position subsets, each subset
+    sum built from scratch."""
+    d = len(bodies)
+    total = Rat(0)
+    for mask in range(1, 1 << d):
+        picked = [P for i, P in enumerate(bodies) if mask >> i & 1]
+        sign = -1 if (d - len(picked)) % 2 else 1
+        total += sign * volume(reduce(minkowski_sum, picked))
+    return total / factorial(d)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["AB", "AA", "ABC", "AAB", "ABA", "BAA", "AAA", "ABCD", "ABCB", "AABB", "AAAB"],
+)
+def test_mixed_volume_matches_plain_inclusion_exclusion(pattern):
+    # Each body is a corner simplex with rational legs plus one more point.
+    d = len(pattern)
+    rng = SplitMix64(len(pattern) * 100 + sum(map(ord, pattern)))
+    pool = {}
+    for name in sorted(set(pattern)):
+        legs = [
+            tuple(Rat(rng.int_between(1, 3), rng.int_between(1, 2)) * (i == j) for j in range(d))
+            for i in range(d)
+        ]
+        extra = tuple(Rat(rng.int_between(-3, 3), rng.int_between(1, 2)) for _ in range(d))
+        pool[name] = convex_hull([(0,) * d, extra, *legs])
+    bodies = [pool[name] for name in pattern]
+    assert mixed_volume(bodies) == plain_mixed_volume(bodies)
+
+
+def test_mixed_volume_builds_each_multiset_sum_once(monkeypatch):
+    # (A, A, B): A+A is the dilate 2A, and A+B, 2A+B are one sum each; the
+    # position-subset route summed A+A, A+B twice and A+A+B.
+    A = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    B = axis_box((1, 2, Rat(1, 2)))
+    calls = []
+
+    def counting(P, Q):
+        calls.append((P, Q))
+        return minkowski_sum(P, Q)
+
+    monkeypatch.setattr(forms, "minkowski_sum", counting)
+    assert mixed_volume([A, A, B]) == plain_mixed_volume([A, A, B])
+    assert len(calls) == 2
 
 
 def test_mixed_volume_of_segments():

@@ -167,6 +167,12 @@ def test_config_from_json_rejects_coercible_values(obj):
         config_from_json(obj)
 
 
+def test_config_from_json_rejects_unknown_keys():
+    # misspelled fields used to be dropped, running the defaults instead
+    with pytest.raises(CoconvexError, match="unknown config field.*'dims'.*'n_trial'"):
+        config_from_json({"dims": 3, "n_trial": 1, "suite": ["kernel"]})
+
+
 def test_run_suite_shape_and_determinism():
     cfg = ExperimentConfig(n_trials=2, seed=7, suite=("kernel", "af", "co_af"))
     rep1 = run_suite(cfg)

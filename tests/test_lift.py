@@ -1,8 +1,11 @@
+from importlib import import_module
+
 import pytest
 
 from coconvex.cones import co_scale, make_coconvex, make_cone
 from coconvex.errors import CoconvexError, InvalidTruncation
 from coconvex.forms import co_volume_polynomial, make_coconvex_family
+from coconvex.harness import SplitMix64, gen_coconvex_family
 from coconvex.lift import (
     combination_threshold,
     default_lift_samples,
@@ -17,7 +20,7 @@ from coconvex.lift import (
     verify_signature_argument,
 )
 from coconvex.polynomial import HomogeneousPolynomial
-from coconvex.polytope import convex_hull, volume
+from coconvex.polytope import convex_hull, minkowski_sum, volume
 from coconvex.rational import Rat
 
 
@@ -137,6 +140,26 @@ def test_identity_V(triangle_lift, pair_lift, simplex_lift):
             "counterexample": None,
         }
         assert report["samples"] >= 5
+
+
+def test_default_V_builds_each_complement_once(monkeypatch):
+    # d = 3, n = 2: each complement is one sum; five default samples used to
+    # cost ten, one for the threshold and one again for the lifted body.
+    fam = gen_coconvex_family(SplitMix64(5), 3, 2, 3)
+    lf = lift(fam)
+    base = co_volume_polynomial(fam)
+    explicit = verify_identity_V(lf, base, default_lift_samples(lf))
+    calls = []
+
+    def counting(P, Q):
+        calls.append((P, Q))
+        return minkowski_sum(P, Q)
+
+    # the package re-exports the function lift, which hides the module
+    monkeypatch.setattr(import_module("coconvex.lift"), "minkowski_sum", counting)
+    report = verify_identity_V(lf, base)
+    assert len(calls) == 5
+    assert report == explicit and report["status"] == "ok" and report["samples"] == 5
 
 
 def test_identity_V_detects_wrong_base(triangle_lift):

@@ -1,7 +1,11 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import volume_reference
+from coconvex import linalg, polytope
 from coconvex.errors import CoconvexError, DimensionMismatch, UnboundedPolyhedron
 from coconvex.polytope import (
     Halfspace,
@@ -191,3 +195,67 @@ def test_minkowski_volume_superadditive(ps, qs):
 def test_volume_translation_invariant(points, shift):
     P = convex_hull(points)
     assert volume(translate(P, shift)) == volume(P)
+
+
+rational_coord = st.one_of(coord, st.builds(Rat, coord, st.integers(1, 6)))
+
+
+@st.composite
+def point_sets(draw):
+    """Point sets in dims 1-4 with mixed denominators, plus duplicated
+    points or a flattening onto an affine hyperplane (degenerate input)."""
+    dim = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[rational_coord] * dim), min_size=dim + 1, max_size=dim + 5))
+    kind = draw(st.sampled_from(["plain", "plain", "duplicate", "flat"]))
+    if kind == "duplicate":
+        pts = pts + pts[: draw(st.integers(1, len(pts)))]
+    elif kind == "flat":
+        pts = [p[:-1] + (2 * p[0] - Rat(1, 3),) for p in pts]
+    return draw(st.permutations(pts)), dim
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(point_sets())
+@example(([(0,)], 1))  # a point
+@example(([(Rat(1, 2),), (Rat(-2, 3),)], 1))  # a segment
+@example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3))  # a flat square
+@example(([(0, 0, 0, 0), (Rat(1, 2), 0, 0, 0), (0, Rat(1, 3), 0, 0),
+           (0, 0, Rat(1, 5), 0), (0, 0, 0, Rat(1, 7)), (1, 1, 1, 1)], 4))
+def test_volume_matches_rational_recursion(case):
+    # Both the canonical hull and the raw point list (duplicates, interior
+    # points and all) give the exact Rat of the Fraction-based recursion.
+    pts, dim = case
+    hull = convex_hull(pts)
+    raw = Polyhedron(dim, tuple(tuple(Rat(x) for x in p) for p in pts), ())
+    for P in (hull, raw):
+        got = volume.__wrapped__(P)
+        assert got == volume_reference.volume(P)
+        assert isinstance(got, Rat)
+        assert affine_dimension(P) == volume_reference.affine_dimension(P)
+
+
+def test_volume_kernel_builds_no_rationals(monkeypatch):
+    # Scaling, facet scans and the recursion stay in int; the only Rat built
+    # is the final N_d / (d! * L^d).
+    rational_simplex = convex_hull(
+        [(0, 0, 0), (Rat(1, 2), 0, 0), (0, Rat(2, 3), 0), (0, 0, Rat(3, 4))]
+    )
+    lattice_cube = Polyhedron(4, tuple(product((0, 2), repeat=4)), ())
+    built = []
+
+    def recording(*args):
+        built.append(args)
+        return Rat(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the double description kernel built a Rat")
+
+    monkeypatch.setattr(polytope, "Rat", recording)
+    monkeypatch.setattr(linalg, "Rat", forbidden)
+    assert volume.__wrapped__(lattice_cube) == 16
+    assert built == [(4 * 3 * 2 * 16, 4 * 3 * 2)]
+    built.clear()
+    assert volume.__wrapped__(rational_simplex) == Rat(1, 24)
+    # L = 12: the scaled simplex has legs 6, 8, 9, so N_3 = 432
+    assert built == [(432, 6 * 12**3)]
+    assert type(polytope._normalized_volume(list(product((0, 2), repeat=4)), 4)) is int
