@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg import dot, primitive_integer
 from .polytope import (
+    CACHE_MAXSIZE,
     Halfspace,
     Polyhedron,
     clip,
@@ -106,7 +107,7 @@ def make_cone(rays) -> Cone:
     return Cone(dim, tuple(canonical), xi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def cone_polyhedron(cone: Cone) -> Polyhedron:
     """The cone as a V-form polyhedron with apex at the origin."""
     return convex_hull([(0,) * cone.dim], rays=cone.rays)

@@ -3,8 +3,25 @@
 A Polyhedron is conv(vertices) + cone(rays) in canonical form: vertices are
 exactly the extreme points, sorted lexicographically; rays are primitive
 integer generators of the recession cone.  Conversion to and from facet
-form goes through the homogenization cone in one extra dimension, so both
-directions are the same double description computation.
+form goes through the homogenization cone C = cone{(1, p), (0, r)} in one
+extra dimension and the double description (DD) routine of `dd`.
+
+A hull takes one DD pass, generators to facets.  DD returns the extreme
+rays of the dual cone C* inside the span V of the generators, one per
+facet of C, and a basis of V's orthogonal complement, one equation per
+basis vector.  Which generators are extreme follows from incidence alone
+(the duality of Fukuda-Prodon, "Double description method revisited",
+1996).  The generators have distinct directions, so a generator spans an
+extreme ray of C exactly when no other generator lies on a strict superset
+of the facets through it: faces of a pointed cone are cut out by their
+facets, and a face of dimension two or more is generated by generators
+lying on more facets than its relative interior does.  A generator on
+every facet lies in the lineality space of C, so the polyhedron contains
+a line.  The facets of that same pass ride on the body
+(`Polyhedron.facets`, outside equality and hashing); `scale` and
+`translate` map them, and `dd_convert`, `clip`, `contains` and the top
+level of `volume` read them instead of running DD again.  Halfspaces to
+vertices (`dd_convert_back`) is a DD pass of its own.
 
 Volume runs on integers.  The vertices are scaled once by L, the lcm of
 their coordinate denominators, which makes P a lattice polytope LP; the
@@ -20,16 +37,19 @@ cancels the |a| in the apex distance, so the pyramid over the facet has
 Every term is an exact integer: the pyramid and the projected facet are
 lattice polytopes, and a lattice polytope's normalized volume is an
 integer because it triangulates into lattice simplices, whose normalized
-volumes are determinants of integer matrices.  The base cases are twice
-the shoelace area of the planar hull and the length max - min of a
-segment.
+volumes are determinants of integer matrices.  The term does not change
+when (a, b) is scaled, so the top level can take a carried facet with its
+bound times L, whose normal alone need not be primitive.  The base cases
+are twice the shoelace area of the planar hull and the length max - min
+of a segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, lcm
+from operator import mul
 
 from .dd import _gauss_jordan, cone_extreme_rays
 from .errors import (
@@ -41,6 +61,11 @@ from .errors import (
 )
 from .linalg import dot, primitive_integer, vadd
 from .rational import Rat, ZERO
+
+# Entries kept by each bounded cache: `volume`, `_facets_cached` and
+# `cones.cone_polyhedron`.  Bounded so that memory stays flat over long
+# runs such as `suite`.
+CACHE_MAXSIZE = 128
 
 
 @dataclass(frozen=True)
@@ -64,6 +89,48 @@ class Halfspace:
         return self.value(point) <= self.bound
 
 
+def _sorted_halfspaces(halfspaces) -> tuple[Halfspace, ...]:
+    return tuple(sorted(halfspaces, key=lambda h: (h.normal, h.bound)))
+
+
+def _halfspaces(dual_rays, dual_lin) -> tuple[Halfspace, ...]:
+    """Facet form from the dual cone: one halfspace per dual ray with a
+    nonzero normal and an opposite pair per lineality (equation) vector."""
+    halfspaces = []
+    for y in dual_rays:
+        normal = tuple(-c for c in y[1:])
+        if all(c == 0 for c in normal):
+            continue
+        halfspaces.append(Halfspace(normal, y[0]))
+    for z in dual_lin:
+        normal = tuple(-c for c in z[1:])
+        halfspaces.append(Halfspace(normal, z[0]))
+        halfspaces.append(Halfspace(tuple(-c for c in normal), -z[0]))
+    return _sorted_halfspaces(halfspaces)
+
+
+def _has_equation(facets) -> bool:
+    """Whether a facet tuple holds an opposite pair, i.e. an equation of a
+    lower-dimensional affine hull."""
+    keys = {(h.normal, h.bound) for h in facets}
+    return any((tuple(-c for c in h.normal), -h.bound) in keys for h in facets)
+
+
+def _moved_facets(facets, new_bound):
+    """Carried facets under a translation or a positive scaling, which keep
+    every normal and move each bound to new_bound(h); None when there is
+    nothing to carry.
+
+    Only a full-dimensional body keeps its facets.  For a lower-dimensional
+    one DD picks each normal inside the span of the homogenized generators,
+    and that span moves with the body, so its facets are left to
+    `dd_convert`.
+    """
+    if facets is None or _has_equation(facets):
+        return None
+    return _sorted_halfspaces(Halfspace.make(h.normal, new_bound(h)) for h in facets)
+
+
 @dataclass(frozen=True)
 class Polyhedron:
     """Canonical V-form polyhedron; build through the factory functions."""
@@ -71,6 +138,10 @@ class Polyhedron:
     dim: int
     vertices: tuple[tuple, ...]
     rays: tuple[tuple[int, ...], ...]
+    # The canonical facet form (what `dd_convert` computes), when the factory
+    # that built the body found it; None otherwise.  Equality, hashing and
+    # repr ignore it, so a body compares equal with or without its facets.
+    facets: tuple[Halfspace, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def empty(cls, dim: int) -> "Polyhedron":
@@ -88,14 +159,19 @@ class Polyhedron:
         vec = tuple(Rat(x) for x in vec)
         if len(vec) != self.dim:
             raise DimensionMismatch("translation vector has wrong length")
-        return Polyhedron(self.dim, tuple(vadd(v, vec) for v in self.vertices), self.rays)
+        # a . x <= b becomes a . x <= b + a . vec
+        facets = _moved_facets(self.facets, lambda h: h.bound + dot(h.normal, vec))
+        verts = tuple(vadd(v, vec) for v in self.vertices)
+        return Polyhedron(self.dim, verts, self.rays, facets)
 
     def scale(self, factor) -> "Polyhedron":
         factor = Rat(factor)
         if factor <= 0:
             raise CoconvexError("scale factor must be positive")
+        # a . x <= b becomes a . x <= factor * b
+        facets = _moved_facets(self.facets, lambda h: factor * h.bound)
         verts = tuple(tuple(factor * x for x in v) for v in self.vertices)
-        return Polyhedron(self.dim, verts, self.rays)
+        return Polyhedron(self.dim, verts, self.rays, facets)
 
 
 def _as_rat_points(points, dim):
@@ -130,24 +206,38 @@ def affine_dimension(P: Polyhedron) -> int:
     return _affine_rank(_lattice_scaled(P.vertices)[1], P.rays, P.dim)
 
 
-def _canonical_from_generators(points, rays, dim) -> Polyhedron:
-    gens = [(Rat(1),) + p for p in points]
-    gens.extend((Rat(0),) + tuple(r) for r in rays)
+def _canonical_from_generators(L, points, rays, dim) -> Polyhedron:
+    """Canonical conv(points / L) + cone(rays), with its facets, from one DD
+    pass on the homogenized generators (L, p) and (0, r).
+
+    Points are distinct integer tuples (the points scaled by L); rays are
+    distinct, nonzero and primitive.  So no two generators share a direction.
+    """
+    points, rays = list(points), list(rays)
+    gens = [(L,) + p for p in points]
+    gens.extend((0,) + r for r in rays)
     dual_rays, dual_lin = cone_extreme_rays(gens, dim + 1)
-    rows = list(dual_rays)
-    for z in dual_lin:
-        rows.append(z)
-        rows.append(tuple(-x for x in z))
-    prim_rays, prim_lin = cone_extreme_rays(rows, dim + 1)
-    if prim_lin:
+    # Bit i of a generator's mask is set when dual ray i vanishes on it.
+    masks = []
+    for g in gens:
+        mask = 0
+        for i, y in enumerate(dual_rays):
+            if not sum(map(mul, g, y)):
+                mask |= 1 << i
+        masks.append(mask)
+    if (1 << len(dual_rays)) - 1 in masks:
         raise NotPointed("polyhedron contains a line")
-    verts, rec = [], []
-    for ray in prim_rays:
-        if ray[0] > 0:
-            verts.append(tuple(Rat(x, ray[0]) for x in ray[1:]))
-        else:
-            rec.append(ray[1:])
-    return Polyhedron(dim, tuple(sorted(verts)), tuple(sorted(rec)))
+    distinct = set(masks)
+    maximal = {m for m in distinct if not any(o != m and m & ~o == 0 for o in distinct)}
+    # scaling by L > 0 keeps the lexicographic order
+    verts = sorted(p for p, m in zip(points, masks) if m in maximal)
+    rec = sorted(r for r, m in zip(rays, masks[len(points):]) if m in maximal)
+    return Polyhedron(
+        dim,
+        tuple(tuple(Rat(x, L) for x in p) for p in verts),
+        tuple(rec),
+        _halfspaces(dual_rays, dual_lin),
+    )
 
 
 def convex_hull(points, rays=()) -> Polyhedron:
@@ -167,7 +257,8 @@ def convex_hull(points, rays=()) -> Polyhedron:
         if all(c == 0 for c in p):
             raise CoconvexError("zero vector is not a ray")
         rs.append(p)
-    return _canonical_from_generators(set(pts), set(rs), dim)
+    L, scaled = _lattice_scaled(pts)
+    return _canonical_from_generators(L, set(scaled), set(rs), dim)
 
 
 def _facets_of_point_set(verts, dim):
@@ -191,25 +282,22 @@ def dd_convert(P: Polyhedron) -> tuple[Halfspace, ...]:
     opposite halfspaces for each affine-hull equation."""
     if P.is_empty:
         raise EmptyInput("no facet form for the empty polyhedron")
-    gens = [(Rat(1),) + v for v in P.vertices]
-    gens.extend((Rat(0),) + r for r in P.rays)
-    dual_rays, dual_lin = cone_extreme_rays(gens, P.dim + 1)
-    halfspaces = []
-    for y in dual_rays:
-        normal = tuple(-c for c in y[1:])
-        if all(c == 0 for c in normal):
-            continue
-        halfspaces.append(Halfspace(normal, y[0]))
-    for z in dual_lin:
-        normal = tuple(-c for c in z[1:])
-        halfspaces.append(Halfspace(normal, z[0]))
-        halfspaces.append(Halfspace(tuple(-c for c in normal), -z[0]))
-    return tuple(sorted(halfspaces, key=lambda h: (h.normal, h.bound)))
+    if P.facets is not None:
+        return P.facets
+    L, points = _lattice_scaled(P.vertices)
+    gens = [(L,) + p for p in points]
+    gens.extend((0,) + r for r in P.rays)
+    return _halfspaces(*cone_extreme_rays(gens, P.dim + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _facets_cached(P: Polyhedron) -> tuple[Halfspace, ...]:
     return dd_convert(P)
+
+
+def _facets(P: Polyhedron) -> tuple[Halfspace, ...]:
+    """The carried facets, else one cached DD pass."""
+    return P.facets if P.facets is not None else _facets_cached(P)
 
 
 def dd_convert_back(halfspaces, dim: int) -> Polyhedron:
@@ -241,9 +329,14 @@ def minkowski_sum(P: Polyhedron, Q: Polyhedron) -> Polyhedron:
         raise DimensionMismatch("summands live in different dimensions")
     if P.is_empty or Q.is_empty:
         return Polyhedron.empty(P.dim)
-    candidates = {vadd(p, q) for p in P.vertices for q in Q.vertices}
+    LP, ps = _lattice_scaled(P.vertices)
+    LQ, qs = _lattice_scaled(Q.vertices)
+    L = lcm(LP, LQ)
+    ps = [tuple(x * (L // LP) for x in p) for p in ps]
+    qs = [tuple(x * (L // LQ) for x in q) for q in qs]
+    candidates = {vadd(p, q) for p in ps for q in qs}
     rays = set(P.rays) | set(Q.rays)
-    return _canonical_from_generators(candidates, rays, P.dim)
+    return _canonical_from_generators(L, candidates, rays, P.dim)
 
 
 def clip(P: Polyhedron, halfspace: Halfspace) -> Polyhedron:
@@ -251,7 +344,7 @@ def clip(P: Polyhedron, halfspace: Halfspace) -> Polyhedron:
         raise DimensionMismatch("halfspace of wrong dimension")
     if P.is_empty:
         return P
-    return dd_convert_back(_facets_cached(P) + (halfspace,), P.dim)
+    return dd_convert_back(_facets(P) + (halfspace,), P.dim)
 
 
 def contains(P: Polyhedron, Q: Polyhedron) -> bool:
@@ -262,7 +355,7 @@ def contains(P: Polyhedron, Q: Polyhedron) -> bool:
         return True
     if P.is_empty:
         return False
-    for h in _facets_cached(P):
+    for h in _facets(P):
         if any(h.value(v) > h.bound for v in Q.vertices):
             return False
         if any(h.value(r) > 0 for r in Q.rays):
@@ -299,8 +392,12 @@ def _twice_polygon_area(points) -> int:
     return abs(twice)
 
 
-def _normalized_volume(verts, k) -> int:
-    """k! times the k-volume of the full-dimensional hull of integer points."""
+def _normalized_volume(verts, k, facets=None) -> int:
+    """k! times the k-volume of the full-dimensional hull of integer points.
+
+    `facets` are the hull's facets as (normal, bound) pairs when already
+    known; otherwise a DD pass finds them.  Lower levels always scan.
+    """
     if k == 1:
         coords = [v[0] for v in verts]
         return max(coords) - min(coords)
@@ -308,7 +405,9 @@ def _normalized_volume(verts, k) -> int:
         return _twice_polygon_area(verts)
     apex = verts[0]
     total = 0
-    for normal, bound in _facets_of_point_set(verts, k):
+    if facets is None:
+        facets = _facets_of_point_set(verts, k)
+    for normal, bound in facets:
         height = bound - dot(normal, apex)
         if height == 0:
             continue
@@ -323,7 +422,7 @@ def _normalized_volume(verts, k) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def volume(P: Polyhedron):
     """Exact d-dimensional volume of a bounded polyhedron.
 
@@ -336,9 +435,16 @@ def volume(P: Polyhedron):
         return ZERO
     L, points = _lattice_scaled(P.vertices)
     d = P.dim
-    if _affine_rank(points, (), d) < d:
-        return ZERO
-    return Rat(_normalized_volume(points, d), factorial(d) * L**d)
+    if P.facets is None:
+        if _affine_rank(points, (), d) < d:
+            return ZERO
+        facets = None
+    else:
+        # equation pairs mark a lower-dimensional body; LP has bounds L * b
+        if _has_equation(P.facets):
+            return ZERO
+        facets = [(h.normal, L * h.bound) for h in P.facets]
+    return Rat(_normalized_volume(points, d, facets), factorial(d) * L**d)
 
 
 def translate(P: Polyhedron, vec) -> Polyhedron:

@@ -123,6 +123,21 @@ def test_suite_all_keyword(capsys):
     assert len(json.loads(out)["results"]) == 10
 
 
+def test_suite_caches_stay_bounded(capsys):
+    # A long suite run fills the volume, facet and cone-polyhedron caches up
+    # to their bound and no further.
+    from coconvex import cones, polytope
+
+    caches = (polytope.volume, polytope._facets_cached, cones.cone_polyhedron)
+    code, _, _ = run_cli(capsys, "suite", "--suite", "all", "--dim", "2", "--trials", "5")
+    assert code == 0
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == polytope.CACHE_MAXSIZE
+        assert info.currsize <= info.maxsize
+    assert polytope.volume.cache_info().currsize == polytope.CACHE_MAXSIZE
+
+
 def test_error_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "volume", str(tmp_path / "missing.json"))
     assert code == 2 and "coconvex:" in err

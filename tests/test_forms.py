@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coconvex import forms
+from coconvex import forms, polytope
+from coconvex.dd import cone_extreme_rays
 from coconvex.cones import co_sum, co_volume, make_coconvex, make_cone
 from coconvex.errors import (
     CoconvexError,
@@ -155,6 +156,30 @@ def test_mixed_volume_builds_each_multiset_sum_once(monkeypatch):
     monkeypatch.setattr(forms, "minkowski_sum", counting)
     assert mixed_volume([A, A, B]) == plain_mixed_volume([A, A, B])
     assert len(calls) == 2
+
+
+def test_mixed_volume_runs_one_dd_pass_per_sum(monkeypatch):
+    # In d = 3 each Minkowski sum is one DD pass, and volume reads the facets
+    # every summand, dilate and sum carries, so it runs none.
+    A = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    B = axis_box((1, 2, Rat(1, 2)))
+    want = plain_mixed_volume([A, A, B])
+    volume.cache_clear()
+    sums, dd_calls = [], []
+
+    def counting_sum(P, Q):
+        sums.append((P, Q))
+        return minkowski_sum(P, Q)
+
+    def counting_dd(rows, dim):
+        dd_calls.append(len(sums))
+        return cone_extreme_rays(rows, dim)
+
+    monkeypatch.setattr(forms, "minkowski_sum", counting_sum)
+    monkeypatch.setattr(polytope, "cone_extreme_rays", counting_dd)
+    assert mixed_volume([A, A, B]) == want
+    assert len(sums) == 2
+    assert dd_calls == [1, 2]
 
 
 def test_mixed_volume_of_segments():

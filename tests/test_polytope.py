@@ -4,9 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hull_reference
 import volume_reference
 from coconvex import linalg, polytope
-from coconvex.errors import CoconvexError, DimensionMismatch, UnboundedPolyhedron
+from coconvex.errors import CoconvexError, DimensionMismatch, NotPointed, UnboundedPolyhedron
 from coconvex.polytope import (
     Halfspace,
     Polyhedron,
@@ -259,3 +260,152 @@ def test_volume_kernel_builds_no_rationals(monkeypatch):
     # L = 12: the scaled simplex has legs 6, 8, 9, so N_3 = 432
     assert built == [(432, 6 * 12**3)]
     assert type(polytope._normalized_volume(list(product((0, 2), repeat=4)), 4)) is int
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def generator_sets(draw, dim=None):
+    """Points and rays in dims 1-4: plain, with duplicated points and
+    (rescaled) rays, with interior points, flattened onto an affine
+    hyperplane, or with a ray and its negative (a line)."""
+    if dim is None:
+        dim = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[rational_coord] * dim), min_size=1, max_size=dim + 4))
+    rays = draw(st.lists(st.tuples(*[small] * dim).filter(any), max_size=3))
+    kind = draw(st.sampled_from(["plain", "duplicate", "interior", "flat", "line"]))
+    if kind == "duplicate":
+        pts = pts + pts[: draw(st.integers(1, len(pts)))]
+        rays = rays + [tuple(2 * c for c in r) for r in rays]
+    elif kind == "interior":
+        centroid = tuple(sum(Rat(p[j]) for p in pts) / len(pts) for j in range(dim))
+        pts = pts + [centroid] + [tuple((Rat(a) + b) / 2 for a, b in zip(pts[0], p)) for p in pts]
+    elif kind == "flat" and dim > 1:
+        pts = [p[:-1] + (2 * p[0] - Rat(1, 3),) for p in pts]
+        rays = [r[:-1] + (2 * r[0],) for r in rays if any(r[:-1])]
+    elif kind == "line":
+        r = draw(st.tuples(*[small] * dim).filter(any))
+        rays = rays + [r, tuple(-c for c in r)]
+    return draw(st.permutations(pts)), draw(st.permutations(rays)), dim
+
+
+@st.composite
+def generator_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    return draw(generator_sets(dim)), draw(generator_sets(dim))
+
+
+def _hull_or_not_pointed(hull, pts, rays):
+    try:
+        return hull(pts, rays)
+    except NotPointed:
+        return NotPointed
+
+
+def _same_body(got, want):
+    # equal, and byte-identical down to the type of every coordinate
+    assert got == want
+    assert repr(got) == repr(want)
+    assert got.facets == dd_convert(want)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(generator_sets())
+@example(([(0,)], [(1,), (-1,)], 1))  # the whole line
+@example(([(0, 0), (1, 0)], [(1, 0)], 2))  # a half-line in the plane
+@example(([(0, 0, 0)], [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], 3))  # a plane
+@example(([(1, 2, 3, 4)], [], 4))  # a point
+def test_hull_matches_two_pass_reference(case):
+    pts, rays, dim = case
+    want = _hull_or_not_pointed(hull_reference.convex_hull, pts, rays)
+    if want is NotPointed:
+        with pytest.raises(NotPointed):
+            convex_hull(pts, rays)
+        return
+    _same_body(convex_hull(pts, rays), want)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(generator_pairs())
+@example(((([(0, 0)], [(1, 0)], 2)), (([(1, 1)], [(-1, 0)], 2))))  # opposite rays
+def test_minkowski_sum_matches_two_pass_reference(case):
+    (p1, r1, _), (p2, r2, _) = case
+    P = _hull_or_not_pointed(convex_hull, p1, r1)
+    Q = _hull_or_not_pointed(convex_hull, p2, r2)
+    if P is NotPointed or Q is NotPointed:
+        return
+    try:
+        want = hull_reference.minkowski_sum(P, Q)
+    except NotPointed:
+        with pytest.raises(NotPointed):
+            minkowski_sum(P, Q)
+        return
+    _same_body(minkowski_sum(P, Q), want)
+
+
+def _bare(P):
+    return Polyhedron(P.dim, P.vertices, P.rays)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    generator_pairs(),
+    st.builds(Rat, st.integers(1, 7), st.integers(1, 5)),
+    st.tuples(*[rational_coord] * 4),
+)
+@example(((([(0, 0)], [], 2)), (([(1, 1)], [], 2))), Rat(3, 2), (Rat(1, 3),) * 4)  # segment
+def test_carried_facets_match_dd_convert(case, factor, shift):
+    # Every body a factory builds carries exactly the facets that dd_convert
+    # recomputes from its vertices and rays alone.
+    (p1, r1, dim), (p2, r2, _) = case
+    P = _hull_or_not_pointed(convex_hull, p1, r1)
+    Q = _hull_or_not_pointed(convex_hull, p2, r2)
+    if P is NotPointed or Q is NotPointed:
+        return
+    S = _hull_or_not_pointed(minkowski_sum, P, Q)
+    shift = shift[:dim]
+    assert P.facets is not None and Q.facets is not None
+    bodies = [P, Q, P.scale(factor), P.translate(shift), translate(Q.scale(factor), shift)]
+    if S is not NotPointed:
+        assert S.facets is not None
+        bodies += [S, S.scale(factor).translate(shift)]
+    for body in bodies:
+        if body.facets is None:
+            # scale and translate drop the facets of a lower-dimensional body
+            assert affine_dimension(body) < dim
+        else:
+            assert body.facets == dd_convert(_bare(body))
+        if body.is_bounded:
+            assert volume.__wrapped__(body) == volume_reference.volume(body)
+
+
+def test_carried_facets_stay_out_of_equality_and_hashing(unit_square):
+    bare = _bare(unit_square)
+    assert bare.facets is None and unit_square.facets is not None
+    assert unit_square == bare and hash(unit_square) == hash(bare)
+    assert repr(unit_square) == repr(bare)
+    assert {unit_square: 1}[bare] == 1
+    assert dd_convert(bare) == unit_square.facets
+    flat = convex_hull([(0, 0, 0), (1, 2, 0), (3, 1, 0)], rays=[(1, 1, 0)])
+    assert flat == _bare(flat) and hash(flat) == hash(_bare(flat))
+    assert dd_convert(_bare(flat)) == flat.facets
+
+
+def test_carried_facets_spare_dd_passes(monkeypatch):
+    # A flat hull's carried facets hold its equation pair, so its volume is
+    # zero without a rank computation or a DD pass; in d = 3 a scaled body's
+    # volume needs neither, because its mapped facets serve the top level.
+    # dd_convert and contains read the carried facets too.
+    flat = convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    simplex = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).scale(2)
+
+    def forbidden(*args):
+        raise AssertionError("volume ran a DD pass or a rank computation")
+
+    monkeypatch.setattr(polytope, "cone_extreme_rays", forbidden)
+    monkeypatch.setattr(polytope, "_affine_rank", forbidden)
+    assert volume.__wrapped__(flat) == 0
+    assert volume.__wrapped__(simplex) == Rat(8, 6)
+    assert dd_convert(simplex) is simplex.facets
+    assert contains(simplex, simplex) and not contains(flat, simplex)
