@@ -10,7 +10,7 @@ vol(K cut at level t) for any level t clearing the complement's vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .dd import cone_extreme_rays
@@ -29,9 +29,11 @@ from .polytope import (
     CACHE_MAXSIZE,
     Halfspace,
     Polyhedron,
+    _incidence_masks,
+    _maximal_masks,
+    _sorted_halfspaces,
     clip,
     contains,
-    convex_hull,
     dd_convert,
     minkowski_sum,
     volume,
@@ -50,6 +52,9 @@ class Cone:
     dim: int
     rays: tuple[tuple[int, ...], ...]
     xi: tuple[int, ...]
+    # Extreme rays of the dual cone, primitive and sorted, as `make_cone`
+    # found them; outside equality, hashing and repr.
+    duals: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,16 @@ class CoconvexBody:
 
 
 def make_cone(rays) -> Cone:
-    """Validate and canonicalize a cone from ray generators.
+    """Validate and canonicalize a cone from ray generators, in one DD pass.
 
-    The certificate functional is the sum of the dual cone's extreme ray
-    generators, which is interior to the dual exactly when the cone is
-    strictly convex and full-dimensional.
+    The pass takes the generators as constraint rows and returns the
+    extreme rays of the dual cone, which the cone carries (`Cone.duals`).
+    The certificate functional is their sum, which is interior to the dual
+    exactly when the cone is strictly convex and full-dimensional.  The
+    canonical rays are then read off incidence, the dual of
+    `polytope.convex_hull`: each distinct primitive generator gets the set
+    of dual rays vanishing on it, and it spans an extreme ray exactly when
+    no other generator's set strictly contains its own.
     """
     rays = list(rays)
     if not rays:
@@ -100,26 +110,25 @@ def make_cone(rays) -> Cone:
         raise NotStrictlyConvex("cone contains a line")
     if dual_lin:
         raise NotFullDimensional("rays do not span the ambient space")
-    rows = list(dual_rays)
-    canonical, lin = cone_extreme_rays(rows, dim)
-    if lin:
-        raise AssertionError("dual of a full-dimensional pointed cone degenerated")
-    return Cone(dim, tuple(canonical), xi)
+    distinct = sorted(set(prim))
+    masks = _incidence_masks(distinct, dual_rays)
+    maximal = _maximal_masks(masks)
+    canonical = [r for r, m in zip(distinct, masks) if m in maximal]
+    return Cone(dim, tuple(canonical), xi, tuple(dual_rays))
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def cone_polyhedron(cone: Cone) -> Polyhedron:
-    """The cone as a V-form polyhedron with apex at the origin."""
-    return convex_hull([(0,) * cone.dim], rays=cone.rays)
+    """The cone as a V-form polyhedron with apex at the origin, carrying its
+    facets -y . x <= 0, one per extreme ray y of the dual cone."""
+    facets = _sorted_halfspaces(Halfspace(tuple(-c for c in y), 0) for y in cone.duals)
+    return Polyhedron(cone.dim, ((ZERO,) * cone.dim,), cone.rays, facets)
 
 
 def dual_interior_functionals(cone: Cone):
     """Extreme ray generators of the dual cone; any strictly positive
     combination of all of them is positive on the cone minus the origin."""
-    rays, lin = cone_extreme_rays(cone.rays, cone.dim)
-    if lin:
-        raise NotFullDimensional("rays do not span the ambient space")
-    return tuple(rays)
+    return cone.duals
 
 
 def truncation_threshold(complement: Polyhedron, xi) -> Rat:

@@ -20,8 +20,20 @@ every facet lies in the lineality space of C, so the polyhedron contains
 a line.  The facets of that same pass ride on the body
 (`Polyhedron.facets`, outside equality and hashing); `scale` and
 `translate` map them, and `dd_convert`, `clip`, `contains` and the top
-level of `volume` read them instead of running DD again.  Halfspaces to
-vertices (`dd_convert_back`) is a DD pass of its own.
+level of `volume` read them instead of running DD again.
+
+Halfspaces to vertices (`dd_convert_back`, and so every `clip`) is the
+dual pass.  The rows are the input halfspaces and the height row x_0 >= 0;
+DD returns the extreme rays of the homogenization cone, which give the
+vertices and recession rays.  Each row gets the set of returned rays it
+vanishes on.  When the body is full-dimensional, a row defines a facet
+exactly when its set is maximal among all rows' sets: every facet of the
+cone appears among the rows, and any other face lies on a strict subset of
+a facet's rays.  Those rows, less the height row, are the facets the body
+carries, so a clipped body's volume, a second `clip` of it and
+`cones.make_coconvex` on it run no DD of their own.  A row that vanishes on
+every ray is an implicit equation, and such a lower-dimensional body
+carries no facets.
 
 Volume runs on integers.  The vertices are scaled once by L, the lcm of
 their coordinate denominators, which makes P a lattice polytope LP; the
@@ -206,6 +218,25 @@ def affine_dimension(P: Polyhedron) -> int:
     return _affine_rank(_lattice_scaled(P.vertices)[1], P.rays, P.dim)
 
 
+def _incidence_masks(vectors, rays) -> list[int]:
+    """One bitmask per integer vector: bit i is set when the vector vanishes
+    on ray i."""
+    masks = []
+    for g in vectors:
+        mask = 0
+        for i, y in enumerate(rays):
+            if not sum(map(mul, g, y)):
+                mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
+def _maximal_masks(masks) -> set[int]:
+    """The masks that no other mask strictly contains."""
+    distinct = set(masks)
+    return {m for m in distinct if not any(o != m and m & ~o == 0 for o in distinct)}
+
+
 def _canonical_from_generators(L, points, rays, dim) -> Polyhedron:
     """Canonical conv(points / L) + cone(rays), with its facets, from one DD
     pass on the homogenized generators (L, p) and (0, r).
@@ -217,18 +248,10 @@ def _canonical_from_generators(L, points, rays, dim) -> Polyhedron:
     gens = [(L,) + p for p in points]
     gens.extend((0,) + r for r in rays)
     dual_rays, dual_lin = cone_extreme_rays(gens, dim + 1)
-    # Bit i of a generator's mask is set when dual ray i vanishes on it.
-    masks = []
-    for g in gens:
-        mask = 0
-        for i, y in enumerate(dual_rays):
-            if not sum(map(mul, g, y)):
-                mask |= 1 << i
-        masks.append(mask)
+    masks = _incidence_masks(gens, dual_rays)
     if (1 << len(dual_rays)) - 1 in masks:
         raise NotPointed("polyhedron contains a line")
-    distinct = set(masks)
-    maximal = {m for m in distinct if not any(o != m and m & ~o == 0 for o in distinct)}
+    maximal = _maximal_masks(masks)
     # scaling by L > 0 keeps the lexicographic order
     verts = sorted(p for p, m in zip(points, masks) if m in maximal)
     rec = sorted(r for r, m in zip(rays, masks[len(points):]) if m in maximal)
@@ -301,8 +324,9 @@ def _facets(P: Polyhedron) -> tuple[Halfspace, ...]:
 
 
 def dd_convert_back(halfspaces, dim: int) -> Polyhedron:
-    """Vertex form of an intersection of halfspaces; empty input set of
-    constraints gives the whole space, which is rejected as unpointed."""
+    """Vertex form of an intersection of halfspaces, with its facets when it
+    is full-dimensional; empty input set of constraints gives the whole
+    space, which is rejected as unpointed."""
     rows = [(h.bound,) + tuple(-c for c in h.normal) for h in halfspaces]
     rows.append((1,) + (0,) * dim)
     rays, lineality = cone_extreme_rays(rows, dim + 1)
@@ -319,9 +343,14 @@ def dd_convert_back(halfspaces, dim: int) -> Polyhedron:
             verts.append(tuple(Rat(x, ray[0]) for x in ray[1:]))
         else:
             rec.append(ray[1:])
-    if not verts:
-        return Polyhedron.empty(dim)
-    return Polyhedron(dim, tuple(sorted(verts)), tuple(sorted(rec)))
+    # A row on every ray is an implicit equation: the body is
+    # lower-dimensional and carries no facets.
+    masks = _incidence_masks(rows, rays)
+    facets = None
+    if (1 << len(rays)) - 1 not in masks:
+        maximal = _maximal_masks(masks)
+        facets = _halfspaces({row for row, m in zip(rows, masks) if m in maximal}, ())
+    return Polyhedron(dim, tuple(sorted(verts)), tuple(sorted(rec)), facets)
 
 
 def minkowski_sum(P: Polyhedron, Q: Polyhedron) -> Polyhedron:

@@ -1,16 +1,22 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cone_reference
+from coconvex import cones, polytope
 from coconvex.cones import (
     Truncation,
     co_scale,
     co_sum,
     co_volume,
     cone_polyhedron,
+    dual_interior_functionals,
     make_coconvex,
     make_cone,
     synthesize_truncation,
     truncation_threshold,
 )
+from coconvex.dd import cone_extreme_rays
 from coconvex.errors import (
     ComplementNotCompact,
     ComplementNotInCone,
@@ -21,7 +27,7 @@ from coconvex.errors import (
     NotFullDimensional,
     NotStrictlyConvex,
 )
-from coconvex.polytope import convex_hull, volume
+from coconvex.polytope import Polyhedron, convex_hull, dd_convert, volume
 from coconvex.rational import Rat
 
 
@@ -178,3 +184,82 @@ def test_region_volume_matches_direct_difference(corner_triangle):
     upper = slices
     lower = slices - Rat(1, 100)
     assert lower < co_volume(corner_triangle) < upper
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def ray_sets(draw):
+    """Ray generators in dims 2-4.  "pointed" rays all have a positive last
+    coordinate, so they span a strictly convex cone; "redundant" adds sums
+    of pairs of them, "duplicate" adds rescaled copies, "rational" divides
+    each by a denominator, "flat" zeroes the last coordinate (a cone that
+    does not span the space) and "plain" draws any nonzero rays, whose cone
+    is usually not strictly convex."""
+    dim = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["pointed", "redundant", "duplicate", "rational", "flat", "plain"]))
+    last = small if kind == "plain" else st.integers(1, 3)
+    ray = st.tuples(*[small] * (dim - 1), last).filter(any)
+    rays = draw(st.lists(ray, min_size=1, max_size=dim + 4))
+    if kind == "redundant":
+        rays += [tuple(a + b for a, b in zip(p, q)) for p, q in zip(rays, rays[1:])]
+    elif kind == "duplicate":
+        rays += [tuple(2 * c for c in r) for r in rays] + rays[:1]
+    elif kind == "rational":
+        rays = [tuple(Rat(c, draw(st.integers(1, 6))) for c in r) for r in rays]
+    elif kind == "flat":
+        rays = [r[:-1] + (0,) for r in rays if any(r[:-1])] or [(1,) + (0,) * (dim - 1)]
+    return draw(st.permutations(rays))
+
+
+def _cone_or_error(build, rays):
+    try:
+        return build(rays)
+    except (NotStrictlyConvex, NotFullDimensional) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ray_sets())
+@example([(1, 0), (1, 1), (0, 1), (2, 2)])  # redundant and duplicate rays
+@example([(1, 0), (-1, 0), (0, 1)])  # a half-plane: not strictly convex
+@example([(1, 2), (2, 4)])  # a half-line in the plane: not full-dimensional
+@example([(1, 0, 0), (-1, 0, 0)])  # a line that does not span: line wins
+@example([(0, 0), (1, 0)])  # the zero vector
+def test_make_cone_matches_two_pass_reference(rays):
+    want = _cone_or_error(cone_reference.make_cone, rays)
+    got = _cone_or_error(make_cone, rays)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got == want and repr(got) == repr(want)
+    assert got.duals == want.duals == tuple(cone_extreme_rays(got.rays, got.dim)[0])
+    assert dual_interior_functionals(got) == got.duals
+    P = cone_polyhedron.__wrapped__(got)
+    hull = convex_hull([(0,) * got.dim], rays=got.rays)
+    assert P == hull and repr(P) == repr(hull)
+    assert P.facets == dd_convert(Polyhedron(P.dim, P.vertices, P.rays)) == hull.facets
+
+
+def test_cones_run_one_dd_pass(monkeypatch):
+    # make_cone makes one DD pass; the cone's polyhedron and its dual rays
+    # are read off that pass, with none of their own.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cone_extreme_rays(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a DD pass ran")
+
+    monkeypatch.setattr(cones, "cone_extreme_rays", counted)
+    cone = make_cone([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (0, 0, 1)])
+    assert len(calls) == 1
+    assert cone.rays == ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
+    monkeypatch.setattr(cones, "cone_extreme_rays", forbidden)
+    monkeypatch.setattr(polytope, "cone_extreme_rays", forbidden)
+    P = cone_polyhedron.__wrapped__(cone)
+    assert P.facets is not None and len(P.facets) == 4
+    assert dual_interior_functionals(cone) == cone.duals

@@ -409,3 +409,83 @@ def test_carried_facets_spare_dd_passes(monkeypatch):
     assert volume.__wrapped__(simplex) == Rat(8, 6)
     assert dd_convert(simplex) is simplex.facets
     assert contains(simplex, simplex) and not contains(flat, simplex)
+
+
+@st.composite
+def clip_cases(draw):
+    """A hull in dims 1-4 (see `generator_sets`) and two cuts in a row.
+
+    Each cut has a small nonzero integer normal a and a kind: "random"
+    takes the drawn bound; "face" takes min a . v over the current body's
+    vertices, which leaves a face of a bounded body (lower-dimensional);
+    "below" takes one less than that, which empties a bounded body.
+    """
+    pts, rays, dim = draw(generator_sets())
+    cuts = [
+        (
+            draw(st.tuples(*[small] * dim).filter(any)),
+            draw(st.sampled_from(["random", "random", "random", "face", "below"])),
+            draw(rational_coord),
+        )
+        for _ in range(2)
+    ]
+    return pts, rays, dim, cuts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(clip_cases())
+@example(([(0, 0), (1, 0), (0, 1), (1, 1)], [], 2, [((1, 1), "random", 1)] * 2))  # bounded
+@example(([(0, 0), (1, 0), (0, 1), (1, 1)], [], 2, [((1, 0), "face", 0)] * 2))  # an edge
+@example(([(0, 0), (1, 0), (0, 1)], [], 2, [((1, 0), "below", 0)] * 2))  # empty
+@example(([(0, 0)], [(1, 0), (0, 1)], 2, [((0, 1), "random", 1)] * 2))  # a half-strip
+@example(([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [(1, 1, 0)], 3, [((1, 1, 1), "random", 3)] * 2))
+def test_clip_results_carry_dd_convert_facets(case):
+    # Every clip result, of a hull or of an earlier clip, either carries the
+    # facets that dd_convert recomputes from its vertices and rays alone, or
+    # carries none because it is empty or lower-dimensional.
+    pts, rays, dim, cuts = case
+    body = _hull_or_not_pointed(convex_hull, pts, rays)
+    if body is NotPointed:
+        return
+    for normal, kind, bound in cuts:
+        if body.is_empty:
+            return
+        low = min(linalg.dot(normal, v) for v in body.vertices)
+        bound = {"random": bound, "face": low, "below": low - 1}[kind]
+        body = clip(body, Halfspace.make(normal, bound))
+        if body.is_empty:
+            assert body.facets is None
+        elif body.facets is None:
+            assert affine_dimension(body) < dim
+        else:
+            assert affine_dimension(body) == dim
+            assert body.facets == dd_convert(_bare(body))
+        if body.is_bounded:
+            assert volume.__wrapped__(body) == volume_reference.volume(body)
+
+
+def test_clipped_bodies_spare_dd_passes(monkeypatch):
+    # A clipped d = 3 body carries its facets: its volume runs no DD pass
+    # and no rank computation, and clipping it again runs exactly one.
+    cube = convex_hull(list(product((0, 2), repeat=3)))
+    cut = clip(cube, Halfspace.make((1, 1, 1), 3))
+    assert cut.facets is not None
+    calls = []
+    real = polytope.cone_extreme_rays
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("volume ran a rank computation")
+
+    monkeypatch.setattr(polytope, "cone_extreme_rays", counted)
+    monkeypatch.setattr(polytope, "_affine_rank", forbidden)
+    assert volume.__wrapped__(cut) == 4
+    assert calls == []
+    again = clip(cut, Halfspace.make((1, 0, 0), 1))
+    assert len(calls) == 1
+    assert again.facets is not None
+    assert volume.__wrapped__(again) == volume_reference.volume(again)
+    assert len(calls) == 1
