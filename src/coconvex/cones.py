@@ -29,7 +29,6 @@ from .polytope import (
     CACHE_MAXSIZE,
     Halfspace,
     Polyhedron,
-    _incidence_masks,
     _maximal_masks,
     _sorted_halfspaces,
     clip,
@@ -84,9 +83,10 @@ def make_cone(rays) -> Cone:
     The certificate functional is their sum, which is interior to the dual
     exactly when the cone is strictly convex and full-dimensional.  The
     canonical rays are then read off incidence, the dual of
-    `polytope.convex_hull`: each distinct primitive generator gets the set
-    of dual rays vanishing on it, and it spans an extreme ray exactly when
-    no other generator's set strictly contains its own.
+    `polytope.convex_hull`: the pass also returns each generator's set of
+    dual rays vanishing on it, and a distinct primitive generator spans an
+    extreme ray exactly when no other generator's set strictly contains
+    its own.
     """
     rays = list(rays)
     if not rays:
@@ -100,7 +100,7 @@ def make_cone(rays) -> Cone:
         if all(c == 0 for c in p):
             raise NotStrictlyConvex("zero vector is not a ray")
         prim.append(p)
-    dual_rays, dual_lin = cone_extreme_rays(prim, dim)
+    dual_rays, dual_lin, incidence = cone_extreme_rays(prim, dim)
     xi = [0] * dim
     for y in dual_rays:
         for j in range(dim):
@@ -110,10 +110,10 @@ def make_cone(rays) -> Cone:
         raise NotStrictlyConvex("cone contains a line")
     if dual_lin:
         raise NotFullDimensional("rays do not span the ambient space")
-    distinct = sorted(set(prim))
-    masks = _incidence_masks(distinct, dual_rays)
-    maximal = _maximal_masks(masks)
-    canonical = [r for r, m in zip(distinct, masks) if m in maximal]
+    # equal generators share one mask
+    masks = dict(zip(prim, incidence))
+    maximal = _maximal_masks(masks.values())
+    canonical = [r for r in sorted(masks) if masks[r] in maximal]
     return Cone(dim, tuple(canonical), xi, tuple(dual_rays))
 
 

@@ -1,7 +1,9 @@
 """Double description: generator form of a cone given by inequalities.
 
 cone_extreme_rays converts {x : a . x >= 0 for each row a} into its extreme
-rays plus a lineality basis.  Both directions of the polytope conversions
+rays plus a lineality basis, and returns with them the row-ray incidence:
+one bitmask per input row, whose bit k is set when the row vanishes on the
+k-th ray of the sorted output.  Both directions of the polytope conversions
 (vertices to facets and back) reduce to this one routine applied to
 homogenized data, which keeps the exact-arithmetic core small.
 
@@ -19,12 +21,18 @@ the same row-space basis, lineality vectors and rays, bit for bit.
 
 The incremental insertion keeps, at every step, exactly the extreme rays of
 the cone cut out by the constraints processed so far, starting from an
-invertible subsystem so the combinatorial adjacency test is sound.
+invertible subsystem so the combinatorial adjacency test is sound.  Each
+ray carries the bitmask of processed rows it vanishes on; the adjacency
+test reads these masks, and once every row is processed they are the
+incidence, transposed to one mask per row.
 """
 
 from __future__ import annotations
 
-from .linalg import dot, primitive_integer, sign_normalized
+from math import gcd
+from operator import mul
+
+from .linalg import primitive_integer, sign_normalized
 
 
 def _gauss_jordan(rows, ncols):
@@ -113,30 +121,40 @@ def _starting_basis(m_rows, r):
 
 
 def cone_extreme_rays(rows, dim):
-    """Extreme rays and lineality basis of {x in R^dim : r . x >= 0}.
+    """Extreme rays, lineality basis and row-ray incidence of
+    {x in R^dim : r . x >= 0}.
 
     Rows may be redundant or duplicated; entries may be ints or rationals.
-    Returns (rays, lineality) as primitive integer tuples, rays sorted
-    lexicographically.  The cone equals nonnegative combinations of the
-    rays plus arbitrary combinations of the lineality vectors.
+    Returns (rays, lineality, incidence).  Rays and lineality vectors are
+    primitive integer tuples, rays sorted lexicographically; the cone
+    equals nonnegative combinations of the rays plus arbitrary combinations
+    of the lineality vectors.  incidence holds one int per input row, in
+    input order: bit k is set when the row vanishes on rays[k].  A row and
+    its positive multiples share one mask, and a zero row has every bit.
     """
     cleaned = []
-    seen = set()
+    position = {}
+    # per input row: its index in cleaned, or -1 for a zero row
+    slots = []
     for row in rows:
         p = primitive_integer(row)
-        if all(c == 0 for c in p) or p in seen:
+        if not any(p):
+            slots.append(-1)
             continue
-        seen.add(p)
-        cleaned.append(p)
+        j = position.get(p)
+        if j is None:
+            j = position[p] = len(cleaned)
+            cleaned.append(p)
+        slots.append(j)
     if not cleaned:
         identity = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-        return [], identity
+        return [], identity, [0] * len(slots)
 
     # Work in coordinates on the row space: x = sum_j u_j * W_j.  The
     # reduced cone {u : M u >= 0} is pointed because W spans the row space.
     w_basis, lineality = _row_space(cleaned, dim)
     r = len(w_basis)
-    m_rows = [tuple(dot(a, w) for w in w_basis) for a in cleaned]
+    m_rows = [tuple(sum(map(mul, a, w)) for w in w_basis) for a in cleaned]
 
     basis_idx, rays = _starting_basis(m_rows, r)
     basis_bits = 0
@@ -144,49 +162,74 @@ def cone_extreme_rays(rows, dim):
         basis_bits |= 1 << i
     masks = [basis_bits & ~(1 << basis_idx[k]) for k in range(r)]
 
+    # masks[k] is exactly the set of processed rows that vanish on rays[k]:
+    # a starting ray meets its own row positively and the other chosen rows
+    # in zero, a kept ray gains the new row's bit when it vanishes on it,
+    # and a ray combined from p and q with positive coefficients vanishes
+    # on a processed row exactly when both of them do.
     basis_set = set(basis_idx)
+    need = r - 2
     for idx, m in enumerate(m_rows):
         if idx in basis_set or not rays:
             continue
         bit = 1 << idx
-        vals = [dot(m, ray) for ray in rays]
-        if all(v >= 0 for v in vals):
+        vals = [sum(map(mul, m, ray)) for ray in rays]
+        if min(vals) >= 0:
             masks = [mask | bit if v == 0 else mask for mask, v in zip(masks, vals)]
             continue
         keep_rays, keep_masks = [], []
         plus, minus = [], []
-        for k, v in enumerate(vals):
+        for entry in zip(masks, rays, vals):
+            mask, ray, v = entry
             if v > 0:
-                plus.append(k)
-                keep_rays.append(rays[k])
-                keep_masks.append(masks[k])
+                plus.append(entry)
+                keep_rays.append(ray)
+                keep_masks.append(mask)
             elif v == 0:
-                keep_rays.append(rays[k])
-                keep_masks.append(masks[k] | bit)
+                keep_rays.append(ray)
+                keep_masks.append(mask | bit)
             else:
-                minus.append(k)
-        for p in plus:
-            for q in minus:
-                common = masks[p] & masks[q]
-                if common.bit_count() < r - 2:
+                minus.append(entry)
+        for p_mask, p_ray, p_val in plus:
+            for q_mask, q_ray, q_val in minus:
+                common = p_mask & q_mask
+                if common.bit_count() < need:
                     continue
-                if any(
-                    k not in (p, q) and common & ~masks[k] == 0
-                    for k in range(len(rays))
-                ):
-                    continue
-                combined = tuple(
-                    vals[p] * b - vals[q] * a for a, b in zip(rays[p], rays[q])
-                )
-                keep_rays.append(primitive_integer(combined))
-                keep_masks.append(common | bit)
+                # Adjacent unless a third ray vanishes on every row that p
+                # and q share; p and q themselves always do.
+                on_common = 0
+                for mask in masks:
+                    if mask & common == common:
+                        on_common += 1
+                        if on_common > 2:
+                            break
+                else:
+                    # a positive combination of two independent integer
+                    # rays: integer and never zero
+                    combined = tuple(p_val * b - q_val * a for a, b in zip(p_ray, q_ray))
+                    g = gcd(*combined)
+                    keep_rays.append(tuple(x // g for x in combined) if g > 1 else combined)
+                    keep_masks.append(common | bit)
         rays, masks = keep_rays, keep_masks
 
     mapped = []
-    for ray in rays:
+    for ray, mask in zip(rays, masks):
         vec = [0] * dim
         for coeff, w in zip(ray, w_basis):
             for j in range(dim):
                 vec[j] += coeff * w[j]
-        mapped.append(primitive_integer(vec))
-    return sorted(mapped), sorted(lineality)
+        mapped.append((primitive_integer(vec), mask))
+    # A row's value on a mapped ray is a positive multiple of its value on
+    # the reduced ray, so the masks carry over; transposed, they give each
+    # cleaned row the set of sorted rays it vanishes on.
+    mapped.sort()
+    by_row = [0] * len(cleaned)
+    for k, (_, mask) in enumerate(mapped):
+        bit = 1 << k
+        while mask:
+            low = mask & -mask
+            by_row[low.bit_length() - 1] |= bit
+            mask ^= low
+    every = (1 << len(mapped)) - 1
+    incidence = [by_row[j] if j >= 0 else every for j in slots]
+    return [ray for ray, _ in mapped], sorted(lineality), incidence

@@ -8,24 +8,26 @@ extra dimension and the double description (DD) routine of `dd`.
 
 A hull takes one DD pass, generators to facets.  DD returns the extreme
 rays of the dual cone C* inside the span V of the generators, one per
-facet of C, and a basis of V's orthogonal complement, one equation per
-basis vector.  Which generators are extreme follows from incidence alone
-(the duality of Fukuda-Prodon, "Double description method revisited",
-1996).  The generators have distinct directions, so a generator spans an
-extreme ray of C exactly when no other generator lies on a strict superset
-of the facets through it: faces of a pointed cone are cut out by their
-facets, and a face of dimension two or more is generated by generators
-lying on more facets than its relative interior does.  A generator on
-every facet lies in the lineality space of C, so the polyhedron contains
-a line.  The facets of that same pass ride on the body
-(`Polyhedron.facets`, outside equality and hashing); `scale` and
-`translate` map them, and `dd_convert`, `clip`, `contains` and the top
-level of `volume` read them instead of running DD again.
+facet of C, a basis of V's orthogonal complement, one equation per basis
+vector, and each generator's incidence: the set of returned rays it
+vanishes on, which the DD kernel tracks as it runs.  Which generators are
+extreme follows from incidence alone (the duality of Fukuda-Prodon,
+"Double description method revisited", 1996).  The generators have
+distinct directions, so a generator spans an extreme ray of C exactly when
+no other generator lies on a strict superset of the facets through it:
+faces of a pointed cone are cut out by their facets, and a face of
+dimension two or more is generated by generators lying on more facets than
+its relative interior does.  A generator on every facet lies in the
+lineality space of C, so the polyhedron contains a line.  The facets of
+that same pass ride on the body (`Polyhedron.facets`, outside equality and
+hashing); `scale` and `translate` map them, and `dd_convert`, `clip`,
+`contains` and the top level of `volume` read them instead of running DD
+again.
 
 Halfspaces to vertices (`dd_convert_back`, and so every `clip`) is the
 dual pass.  The rows are the input halfspaces and the height row x_0 >= 0;
 DD returns the extreme rays of the homogenization cone, which give the
-vertices and recession rays.  Each row gets the set of returned rays it
+vertices and recession rays, and each row's set of returned rays it
 vanishes on.  When the body is full-dimensional, a row defines a facet
 exactly when its set is maximal among all rows' sets: every facet of the
 cone appears among the rows, and any other face lies on a strict subset of
@@ -61,7 +63,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul
 
 from .dd import _gauss_jordan, cone_extreme_rays
 from .errors import (
@@ -218,19 +219,6 @@ def affine_dimension(P: Polyhedron) -> int:
     return _affine_rank(_lattice_scaled(P.vertices)[1], P.rays, P.dim)
 
 
-def _incidence_masks(vectors, rays) -> list[int]:
-    """One bitmask per integer vector: bit i is set when the vector vanishes
-    on ray i."""
-    masks = []
-    for g in vectors:
-        mask = 0
-        for i, y in enumerate(rays):
-            if not sum(map(mul, g, y)):
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
-
-
 def _maximal_masks(masks) -> set[int]:
     """The masks that no other mask strictly contains."""
     distinct = set(masks)
@@ -247,8 +235,7 @@ def _canonical_from_generators(L, points, rays, dim) -> Polyhedron:
     points, rays = list(points), list(rays)
     gens = [(L,) + p for p in points]
     gens.extend((0,) + r for r in rays)
-    dual_rays, dual_lin = cone_extreme_rays(gens, dim + 1)
-    masks = _incidence_masks(gens, dual_rays)
+    dual_rays, dual_lin, masks = cone_extreme_rays(gens, dim + 1)
     if (1 << len(dual_rays)) - 1 in masks:
         raise NotPointed("polyhedron contains a line")
     maximal = _maximal_masks(masks)
@@ -288,7 +275,7 @@ def _facets_of_point_set(verts, dim):
     """Facets (normal, bound) in <= form of a full-dimensional conv(verts);
     integer points give integer facets."""
     gens = [(1,) + tuple(v) for v in verts]
-    dual_rays, dual_lin = cone_extreme_rays(gens, dim + 1)
+    dual_rays, dual_lin, _ = cone_extreme_rays(gens, dim + 1)
     if dual_lin:
         raise AssertionError("facet scan on a degenerate point set")
     facets = []
@@ -310,7 +297,8 @@ def dd_convert(P: Polyhedron) -> tuple[Halfspace, ...]:
     L, points = _lattice_scaled(P.vertices)
     gens = [(L,) + p for p in points]
     gens.extend((0,) + r for r in P.rays)
-    return _halfspaces(*cone_extreme_rays(gens, P.dim + 1))
+    dual_rays, dual_lin, _ = cone_extreme_rays(gens, P.dim + 1)
+    return _halfspaces(dual_rays, dual_lin)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -329,7 +317,7 @@ def dd_convert_back(halfspaces, dim: int) -> Polyhedron:
     space, which is rejected as unpointed."""
     rows = [(h.bound,) + tuple(-c for c in h.normal) for h in halfspaces]
     rows.append((1,) + (0,) * dim)
-    rays, lineality = cone_extreme_rays(rows, dim + 1)
+    rays, lineality, masks = cone_extreme_rays(rows, dim + 1)
     # the height row pins lineality to height zero, so a line survives the
     # homogenization only if the feasible set itself contains one
     feasible = any(r[0] > 0 for r in rays)
@@ -345,7 +333,6 @@ def dd_convert_back(halfspaces, dim: int) -> Polyhedron:
             rec.append(ray[1:])
     # A row on every ray is an implicit equation: the body is
     # lower-dimensional and carries no facets.
-    masks = _incidence_masks(rows, rays)
     facets = None
     if (1 << len(rays)) - 1 not in masks:
         maximal = _maximal_masks(masks)

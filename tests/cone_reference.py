@@ -4,9 +4,9 @@ This is the `make_cone` that the one-pass version in `coconvex.cones`
 replaced: a double description pass from the generators to the dual
 cone's extreme rays, then a second pass from those dual rays back to the
 cone's extreme rays.  It reads the canonical rays off the second pass
-instead of off incidence.  The only edit is the last line, which passes
+instead of off incidence.  The only edits are the last line, which passes
 the first pass's dual rays to the `Cone` constructor, whose `duals` field
-is required.  Differential tests require both to return equal cones, or
+is required, and the unpacking of the kernel's third return value.  Differential tests require both to return equal cones, or
 to raise the same exception class.
 """
 
@@ -37,7 +37,7 @@ def make_cone(rays) -> Cone:
         if all(c == 0 for c in p):
             raise NotStrictlyConvex("zero vector is not a ray")
         prim.append(p)
-    dual_rays, dual_lin = cone_extreme_rays(prim, dim)
+    dual_rays, dual_lin, _ = cone_extreme_rays(prim, dim)
     xi = [0] * dim
     for y in dual_rays:
         for j in range(dim):
@@ -48,7 +48,7 @@ def make_cone(rays) -> Cone:
     if dual_lin:
         raise NotFullDimensional("rays do not span the ambient space")
     rows = list(dual_rays)
-    canonical, lin = cone_extreme_rays(rows, dim)
+    canonical, lin, _ = cone_extreme_rays(rows, dim)
     if lin:
         raise AssertionError("dual of a full-dimensional pointed cone degenerated")
     return Cone(dim, tuple(canonical), xi, tuple(dual_rays))

@@ -5,11 +5,16 @@ it used) that the fraction-free kernel in `coconvex.dd` replaced.  It runs
 every elimination through `Rat` via the rational `linalg` routines, so it is
 slow but independent of the integer code it checks.  Differential tests
 require both kernels to return identical `(rays, lineality)`.
+
+`_incidence_masks` is the per-row dot-product incidence that
+`coconvex.polytope` computed before the kernel returned its own; it is the
+oracle for the kernel's third return value.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from coconvex.linalg import (
     dot,
@@ -125,3 +130,16 @@ def cone_extreme_rays(rows, dim):
                 vec[j] += coeff * w[j]
         mapped.append(primitive_integer(vec))
     return sorted(mapped), sorted(sign_normalized(v) for v in lineality)
+
+
+def _incidence_masks(vectors, rays) -> list[int]:
+    """One bitmask per integer vector: bit i is set when the vector vanishes
+    on ray i."""
+    masks = []
+    for g in vectors:
+        mask = 0
+        for i, y in enumerate(rays):
+            if not sum(map(mul, g, y)):
+                mask |= 1 << i
+        masks.append(mask)
+    return masks

@@ -20,12 +20,12 @@ from coconvex.rational import Rat
 def _canonical_from_generators(points, rays, dim) -> Polyhedron:
     gens = [(Rat(1),) + p for p in points]
     gens.extend((Rat(0),) + tuple(r) for r in rays)
-    dual_rays, dual_lin = cone_extreme_rays(gens, dim + 1)
+    dual_rays, dual_lin, _ = cone_extreme_rays(gens, dim + 1)
     rows = list(dual_rays)
     for z in dual_lin:
         rows.append(z)
         rows.append(tuple(-x for x in z))
-    prim_rays, prim_lin = cone_extreme_rays(rows, dim + 1)
+    prim_rays, prim_lin, _ = cone_extreme_rays(rows, dim + 1)
     if prim_lin:
         raise NotPointed("polyhedron contains a line")
     verts, rec = [], []

@@ -1,55 +1,58 @@
 """The cone converter is the single engine under every representation
 change, so its edge cases get direct coverage here."""
 
+from random import Random
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coconvex import dd, linalg
 from coconvex.dd import cone_extreme_rays
 from coconvex.rational import Rat
+from dd_reference import _incidence_masks
 from dd_reference import cone_extreme_rays as reference_cone_extreme_rays
 
 
 def test_orthant_from_inequalities():
-    rays, lin = cone_extreme_rays([(1, 0), (0, 1)], 2)
+    rays, lin, _ = cone_extreme_rays([(1, 0), (0, 1)], 2)
     assert rays == [(0, 1), (1, 0)]
     assert lin == []
 
 
 def test_redundant_rows_ignored():
-    rays, lin = cone_extreme_rays([(1, 0), (0, 1), (1, 1), (2, 0)], 2)
+    rays, lin, _ = cone_extreme_rays([(1, 0), (0, 1), (1, 1), (2, 0)], 2)
     assert rays == [(0, 1), (1, 0)]
     assert lin == []
 
 
 def test_halfplane_has_lineality():
-    rays, lin = cone_extreme_rays([(1, 0)], 2)
+    rays, lin, _ = cone_extreme_rays([(1, 0)], 2)
     assert lin == [(0, 1)]
     assert rays == [(1, 0)]
 
 
 def test_no_constraints_is_all_of_space():
-    rays, lin = cone_extreme_rays([], 2)
+    rays, lin, _ = cone_extreme_rays([], 2)
     assert rays == []
     assert len(lin) == 2
 
 
 def test_pointed_three_dim_cone():
     # {x >= 0, y >= 0, z >= 0, x + y >= z} has four extreme rays
-    rays, lin = cone_extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
+    rays, lin, _ = cone_extreme_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
     assert lin == []
     assert set(rays) == {(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 
 def test_opposite_constraints_give_equality_lineality():
-    rays, lin = cone_extreme_rays([(1, 1), (-1, -1)], 2)
+    rays, lin, _ = cone_extreme_rays([(1, 1), (-1, -1)], 2)
     # the cone is the line x + y = 0
     assert rays == []
     assert lin == [(1, -1)]
 
 
 def test_infeasible_direction_collapses_to_origin():
-    rays, lin = cone_extreme_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    rays, lin, _ = cone_extreme_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
     assert rays == []
     assert lin == []
 
@@ -57,15 +60,15 @@ def test_infeasible_direction_collapses_to_origin():
 def test_duality_round_trip():
     # dual of the dual returns the original pointed cone
     primal = [(2, 1), (1, 3)]
-    dual, lin = cone_extreme_rays(primal, 2)
+    dual, lin, _ = cone_extreme_rays(primal, 2)
     assert lin == []
-    back, lin2 = cone_extreme_rays(dual, 2)
+    back, lin2, _ = cone_extreme_rays(dual, 2)
     assert lin2 == []
     assert set(back) == {(2, 1), (1, 3)}
 
 
 def test_rational_rows_are_scaled():
-    rays, lin = cone_extreme_rays([(Rat(1, 2), 0), (0, Rat(1, 3))], 2)
+    rays, lin, _ = cone_extreme_rays([(Rat(1, 2), 0), (0, Rat(1, 3))], 2)
     assert rays == [(0, 1), (1, 0)]
     assert lin == []
 
@@ -78,7 +81,7 @@ def test_kernel_builds_no_rationals(monkeypatch):
 
     monkeypatch.setattr(linalg, "Rat", forbidden)
     rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 0), (2, 2, -2, 0), (0, 0, 0, 0)]
-    rays, lin = cone_extreme_rays(rows, 4)
+    rays, lin, _ = cone_extreme_rays(rows, 4)
     assert lin == [(0, 0, 0, 1)]
     assert set(rays) == {(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)}
 
@@ -122,7 +125,32 @@ def cone_inputs(draw):
            (0, 0, 0, 0, 1), (1, 1, 1, 1, -1), (1, -1, 1, -1, 1)], 5))
 def test_matches_rational_kernel(case):
     rows, dim = case
-    assert cone_extreme_rays(rows, dim) == reference_cone_extreme_rays(rows, dim)
+    assert cone_extreme_rays(rows, dim)[:2] == reference_cone_extreme_rays(rows, dim)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cone_inputs(), st.integers(0, 2**32))
+@example(([], 3), 0)  # no rows
+@example(([(0, 0), (0, 0)], 2), 0)  # only zero rows: full lineality, r == 0
+@example(([(1, 0, 0), (Rat(-1, 2), 0, 0), (0, 1, 1), (0, 0, 0)], 3), 1)  # 0 < r < dim
+@example(([(1, 0), (-1, 0), (0, 1), (0, -1)], 2), 2)  # only the origin
+@example(([(1, 1, 0), (0, 1, 1), (1, 0, 1), (-2, -2, -2)], 3), 3)  # only the origin
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (2, 2, -2), (0, 0, 0)], 3), 4)
+@example(([(1, 0), (0, 1), (2, 0), (0, 0)], 2), 5)  # incidence [0b01, 0b10, 0b01, 0b11]
+def test_incidence_matches_dot_products(case, seed):
+    # The kernel's incidence is the oracle's per-row dot-product masks on
+    # the returned rays, and it follows the rows through a permutation
+    # that leaves rays and lineality as they are.
+    rows, dim = case
+    rays, lin, incidence = cone_extreme_rays(rows, dim)
+    assert incidence == _incidence_masks(rows, rays)
+    every = (1 << len(rays)) - 1
+    assert all(mask == every for row, mask in zip(rows, incidence) if not any(row))
+    order = list(range(len(rows)))
+    Random(seed).shuffle(order)
+    assert cone_extreme_rays([rows[i] for i in order], dim) == (
+        rays, lin, [incidence[i] for i in order]
+    )
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

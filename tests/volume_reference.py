@@ -31,7 +31,7 @@ def affine_dimension(P) -> int:
 def _facets_of_point_set(verts, dim):
     """Facets (normal, bound) in <= form of a full-dimensional conv(verts)."""
     gens = [(Rat(1),) + tuple(v) for v in verts]
-    dual_rays, dual_lin = cone_extreme_rays(gens, dim + 1)
+    dual_rays, dual_lin, _ = cone_extreme_rays(gens, dim + 1)
     if dual_lin:
         raise AssertionError("facet scan on a degenerate point set")
     facets = []
