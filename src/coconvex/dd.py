@@ -88,15 +88,17 @@ def _row_space(rows, dim):
     return w_basis, lineality
 
 
-def _starting_basis(m_rows, r):
-    """The first r independent rows (greedily, in order) and the extreme
-    rays of the simplicial cone they cut out.
+def independent_rows(rows, r):
+    """The first r rows of an iterable of integer rows that are linearly
+    independent, picked greedily in order, as (index, row) pairs.
 
-    Ray k is column k of the inverse of the chosen rows, made primitive:
-    it meets chosen row k positively and the others in zero.
+    Fewer come back when the rows run out.  The echelon is fraction-free;
+    independence does not depend on how it is eliminated, so the choice is
+    that of rational greedy elimination.  No row past the r-th pick is
+    drawn from the iterable, so rows may be built lazily.
     """
-    chosen, echelon = [], []
-    for idx, row in enumerate(m_rows):
+    picked, echelon = [], []
+    for idx, row in enumerate(rows):
         work = row
         for pc, prow in echelon:
             f = work[pc]
@@ -107,17 +109,38 @@ def _starting_basis(m_rows, r):
         if pivot is None:
             continue
         echelon.append((pivot, primitive_integer(work)))
-        chosen.append(idx)
-        if len(chosen) == r:
+        picked.append((idx, row))
+        if len(picked) == r:
             break
-    if len(chosen) < r:
-        raise AssertionError("rank drop in reduced constraint system")
+    return picked
 
-    aug = [list(m_rows[i]) + [int(j == k) for j in range(r)] for k, i in enumerate(chosen)]
-    inverse, _, d = _gauss_jordan(aug, r)
+
+def scaled_inverse(square):
+    """(M, d) with M = d * B^-1 for an invertible integer matrix B.
+
+    Fraction-free Gauss-Jordan on [B | I]; d is the last pivot, which is
+    det B up to sign, and M is returned as a list of integer rows.
+    """
+    n = len(square)
+    aug = [list(row) + [int(j == k) for j in range(n)] for k, row in enumerate(square)]
+    reduced, _, d = _gauss_jordan(aug, n)
+    return [row[n:] for row in reduced], d
+
+
+def _starting_basis(m_rows, r):
+    """The first r independent rows (greedily, in order) and the extreme
+    rays of the simplicial cone they cut out.
+
+    Ray k is column k of the inverse of the chosen rows, made primitive:
+    it meets chosen row k positively and the others in zero.
+    """
+    picked = independent_rows(m_rows, r)
+    if len(picked) < r:
+        raise AssertionError("rank drop in reduced constraint system")
+    inverse, d = scaled_inverse([row for _, row in picked])
     sign = 1 if d > 0 else -1
-    rays = [primitive_integer([sign * row[r + k] for row in inverse]) for k in range(r)]
-    return chosen, rays
+    rays = [primitive_integer([sign * row[k] for row in inverse]) for k in range(r)]
+    return [idx for idx, _ in picked], rays
 
 
 def cone_extreme_rays(rows, dim):

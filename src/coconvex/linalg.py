@@ -7,29 +7,40 @@ divides coerces through Rat first so no float can appear.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from .rational import Rat, ZERO
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
+def over_common_denominator(vec) -> tuple[list[int], int]:
+    """(numerators, D) with vec[i] = numerators[i] / D, where D is the lcm
+    of the entries' denominators.
+
+    Rat entries are read through their numerator and denominator; any
+    other entry is coerced through Rat.
+    """
+    fracs = [x if isinstance(x, Rat) else Rat(x) for x in vec]
+    den = lcm(*(int(q.denominator) for q in fracs))
+    return [int(q.numerator) * (den // int(q.denominator)) for q in fracs], den
+
+
 def primitive_integer(vec) -> tuple[int, ...]:
     """Scale by a positive rational so entries become coprime integers.
 
     Direction is preserved; the zero vector maps to itself.  int entries
-    are used as they are and Rat entries through their numerator and
-    denominator; any other entry is coerced through Rat.
+    are used as they are and any other entry through
+    `over_common_denominator`.
     """
     if not all(type(x) is int for x in vec):
-        fracs = [x if isinstance(x, Rat) else Rat(x) for x in vec]
-        den = lcm(*(int(q.denominator) for q in fracs))
-        vec = [int(q.numerator) * (den // int(q.denominator)) for q in fracs]
+        vec, _ = over_common_denominator(vec)
     g = gcd(*vec)
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 

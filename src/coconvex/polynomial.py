@@ -1,18 +1,23 @@
 """Homogeneous polynomials with exact coefficients, plus quadratic-form tools.
 
-Everything here is rational end to end: interpolation solves an exact linear
-system, and the inertia of a symmetric matrix comes from congruence
-reduction, so signatures carry no numerical error.
+Everything here is exact.  Interpolation is fraction-free: grid points
+are scaled to integers, rows are picked and the system is inverted by the
+integer elimination of the DD kernel (`dd.independent_rows`,
+`dd.scaled_inverse`), and each coefficient is built as one rational at the
+end.  The inertia of a symmetric matrix comes from congruence reduction,
+so signatures carry no numerical error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
+from math import factorial, prod
+from operator import mul
 
+from .dd import independent_rows, scaled_inverse
 from .errors import DimensionMismatch, EmptyInput
-from .linalg import independent_row_indices, solve_square
+from .linalg import over_common_denominator
 from .rational import Rat, ZERO
 
 
@@ -156,32 +161,45 @@ def default_grid(nvars: int, degree: int, start: int = 1):
 def fit_homogeneous(nvars: int, degree: int, points, value_fn) -> HomogeneousPolynomial:
     """Recover the homogeneous polynomial matching value_fn on a grid.
 
-    Rows of the monomial evaluation matrix are selected greedily until it
-    is invertible; value_fn runs only at the selected points, which matters
-    when each evaluation is a full volume computation.
+    The solve is integer-only.  Each point is scaled by L, the lcm of its
+    coordinate denominators, so its monomial row is an integer row, L**degree
+    times the rational one; the value at that point is scaled by L**degree
+    to match.  Rows are built lazily, in point order, and picked by the
+    greedy fraction-free echelon of `dd.independent_rows` until there are
+    as many independent rows B as monomials: the same points, in the same
+    order, that greedy rational elimination would pick.  value_fn runs only
+    at those points, which matters when each evaluation is a full volume
+    computation.  Eliminating [B | I] gives M = d * B^-1, with d = +-det B;
+    with the scaled values written as n_k / D over one common denominator
+    D, coefficient j is the single rational (sum_k M_jk n_k) / (d * D).
+
+    Raises DimensionMismatch if any point has the wrong length, and
+    ArithmeticError, before value_fn is called, if the points cannot
+    determine the polynomial.
     """
     monomials = list(monomial_exponents(nvars, degree))
     points = list(points)
-    rows = []
-    for p in points:
-        if len(p) != nvars:
-            raise DimensionMismatch("grid point has the wrong number of coordinates")
-        pt = [Rat(x) for x in p]
-        row = []
-        for exps in monomials:
-            term = Rat(1)
-            for x, e in zip(pt, exps):
-                if e:
-                    term = term * x**e
-            row.append(term)
-        rows.append(row)
-    idx = independent_row_indices(rows, len(monomials), limit=len(monomials))
-    if len(idx) < len(monomials):
+    if any(len(p) != nvars for p in points):
+        raise DimensionMismatch("grid point has the wrong number of coordinates")
+    scales = []
+
+    def integer_rows():
+        for p in points:
+            scaled, L = over_common_denominator(p)
+            scales.append(L**degree)
+            yield [prod(map(pow, scaled, exps)) for exps in monomials]
+
+    picked = independent_rows(integer_rows(), len(monomials))
+    if len(picked) < len(monomials):
         raise ArithmeticError("candidate points cannot determine the polynomial")
-    matrix = [rows[i] for i in idx]
-    rhs = [Rat(value_fn(points[i])) for i in idx]
-    sol = solve_square(matrix, rhs)
-    return HomogeneousPolynomial(nvars, degree, dict(zip(monomials, sol)))
+    inverse, d = scaled_inverse([row for _, row in picked])
+    nums, den = over_common_denominator([Rat(value_fn(points[i])) * scales[i] for i, _ in picked])
+    den *= d
+    return HomogeneousPolynomial(
+        nvars,
+        degree,
+        {exps: Rat(sum(map(mul, row, nums)), den) for exps, row in zip(monomials, inverse)},
+    )
 
 
 def hessian_matrix(poly: HomogeneousPolynomial):

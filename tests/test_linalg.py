@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from coconvex.linalg import (
     independent_row_indices,
     invert_matrix,
     nullspace_basis,
+    over_common_denominator,
     primitive_integer,
     rank,
     rref,
@@ -48,6 +51,17 @@ def test_primitive_integer_matches_rational_formula(vec):
         got = primitive_integer(v)
         assert got == reference_primitive_integer(v)
         assert all(type(x) is int for x in got)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(mixed_entry, max_size=6))
+@example([])
+@example([Rat(1, 2), Rat(-1, 3), 5])
+def test_over_common_denominator(vec):
+    nums, den = over_common_denominator(vec)
+    assert all(type(x) is int for x in nums) and type(den) is int
+    assert den == math.lcm(*(int(Rat(x).denominator) for x in vec))
+    assert [Rat(n, den) for n in nums] == [Rat(x) for x in vec]
 
 
 def test_sign_normalized():

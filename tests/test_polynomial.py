@@ -1,9 +1,11 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fit_reference
+from coconvex.errors import DimensionMismatch
 from coconvex.polynomial import (
     HomogeneousPolynomial,
     Signature,
@@ -106,8 +108,122 @@ def test_fit_three_variables():
 
 
 def test_fit_needs_enough_points():
+    def value(point):
+        raise AssertionError("value_fn called on a degenerate grid")
+
+    # Points on one line through the origin give proportional quadratic
+    # rows, and points on the plane z = x + y cannot fix a linear form.
+    # The error comes before any evaluation.
     with pytest.raises(ArithmeticError):
-        fit_homogeneous(2, 2, [(1, 1), (2, 2)], lambda p: 0)
+        fit_homogeneous(2, 2, [(1, 1), (2, 2)], value)
+    with pytest.raises(ArithmeticError):
+        fit_homogeneous(2, 2, [(1, 1), (2, 2), (Rat(1, 2), Rat(1, 2)), (3, 3)], value)
+    with pytest.raises(ArithmeticError):
+        fit_homogeneous(3, 1, [(1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 3, 5)], value)
+    with pytest.raises(ArithmeticError):
+        fit_homogeneous(1, 2, [], value)
+
+
+def _fit_run(fit, nvars, degree, grid, value_fn):
+    """The fitted polynomial, or the exception type raised, and the points
+    value_fn saw, in order."""
+    seen = []
+
+    def value(point):
+        seen.append(point)
+        return value_fn(point)
+
+    try:
+        return fit(nvars, degree, grid, value), seen
+    except (ArithmeticError, DimensionMismatch) as exc:
+        return type(exc), seen
+
+
+small_rat = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def fit_cases(draw):
+    """(nvars, degree, grid): a default grid, an integer tensor grid, a
+    tensor grid with a rational last axis (the lifted t-axis), or scattered
+    rational points.  Axis values may repeat, so some grids are degenerate."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["default", "tensor", "rational_axis", "scattered"]))
+    if kind == "default":
+        return nvars, degree, default_grid(nvars, degree, draw(st.integers(-1, 2)))
+    if kind == "scattered":
+        m = len(list(monomial_exponents(nvars, degree)))
+        coord = st.one_of(st.integers(-3, 3), small_rat)
+        point = st.tuples(*[coord] * nvars)
+        return nvars, degree, draw(st.lists(point, min_size=m - 1, max_size=m + 3))
+    axis = st.lists(st.integers(-3, 5), min_size=degree + 1, max_size=degree + 1)
+    axes = [draw(axis) for _ in range(nvars)]
+    if kind == "rational_axis":
+        axes[-1] = draw(st.lists(small_rat, min_size=degree + 1, max_size=degree + 1))
+    return nvars, degree, tensor_grid(axes)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fit_cases(), st.data())
+@example((1, 3, default_grid(1, 3)), None)
+@example((1, 0, [(Rat(5, 2),)]), None)
+@example((3, 0, default_grid(3, 0)), None)
+@example((2, 0, [(0, 0), (1, 2)]), None)
+@example((2, 2, [(Rat(1, 2), Rat(1, 3)), (1, 0), (0, Rat(5, 4))]), None)
+def test_fit_matches_rational_oracle(case, data):
+    nvars, degree, grid = case
+    monomials = list(monomial_exponents(nvars, degree))
+    if data is None:
+        coeffs = {exps: Rat(k + 1, 3) for k, exps in enumerate(monomials)}
+    else:
+        coeffs = data.draw(st.fixed_dictionaries({exps: small_rat for exps in monomials}))
+    target = HomogeneousPolynomial(nvars, degree, coeffs)
+    got = _fit_run(fit_homogeneous, nvars, degree, grid, target.evaluate)
+    assert got == _fit_run(fit_reference.fit_homogeneous, nvars, degree, grid, target.evaluate)
+    if got[0] is not ArithmeticError:
+        assert got[0] == target
+    else:
+        assert got[1] == []
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fit_cases(), st.data())
+def test_fit_of_arbitrary_values_matches_rational_oracle(case, data):
+    # Values that no polynomial of this degree need match: the fit depends
+    # on exactly which rows were picked and on every step of the solve.
+    nvars, degree, grid = case
+    values = data.draw(st.lists(small_rat, min_size=len(grid), max_size=len(grid)))
+    table = dict(zip(grid, values))
+    got = _fit_run(fit_homogeneous, nvars, degree, grid, table.__getitem__)
+    assert got == _fit_run(fit_reference.fit_homogeneous, nvars, degree, grid, table.__getitem__)
+
+
+def test_fit_checks_every_point_length():
+    # The first three points already determine the quadratic; the short
+    # point after them must still be rejected, before any evaluation.
+    seen = []
+    grid = [(1, 0), (0, 1), (1, 1), (2, 3), (4,)]
+    with pytest.raises(DimensionMismatch):
+        fit_homogeneous(2, 2, grid, seen.append)
+    assert seen == []
+    with pytest.raises(DimensionMismatch):
+        fit_homogeneous(2, 2, grid[:3] + [(1, 2, 3)], seen.append)
+    assert seen == []
+
+
+def test_fit_picks_points_in_greedy_order():
+    # (2, 2) depends on (1, 1) for a linear form, so the points fitted are
+    # (1, 1) and (3, 5); (0, 7) is never evaluated.
+    target = HomogeneousPolynomial(2, 1, {(1, 0): 2, (0, 1): -1})
+    seen = []
+
+    def value(point):
+        seen.append(point)
+        return target.evaluate(point)
+
+    assert fit_homogeneous(2, 1, [(1, 1), (2, 2), (3, 5), (0, 7)], value) == target
+    assert seen == [(1, 1), (3, 5)]
 
 
 def test_hessian(quadratic):
