@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from coconvex import harness
 from coconvex.cones import co_volume, cone_polyhedron, make_coconvex
 from coconvex.errors import CoconvexError
 from coconvex.harness import (
@@ -19,6 +22,7 @@ from coconvex.harness import (
     run_suite,
 )
 from coconvex.jsonio import dump_json
+from coconvex.polynomial import Signature
 from coconvex.polytope import affine_dimension, contains, volume
 
 
@@ -193,9 +197,21 @@ def test_suite_selection_does_not_shift_streams():
     assert alone.results["af"] == together.results["af"]
 
 
-def test_corrupt_form_hook_produces_counterexample():
+def test_corrupt_form_hook_produces_counterexample(monkeypatch):
+    real = harness.polynomial_af_forms
+
+    def corrupted(P, marked):
+        # negate the first diagonal entry of both forms
+        forms = []
+        for matrix in real(P, marked):
+            rows = [list(r) for r in matrix]
+            rows[0][0] = -rows[0][0]
+            forms.append(tuple(tuple(r) for r in rows))
+        return tuple(forms)
+
+    monkeypatch.setattr(harness, "polynomial_af_forms", corrupted)
     cfg = ExperimentConfig(n_trials=1, seed=7, suite=("co_af",))
-    report = run_suite(cfg, corrupt_form=True)
+    report = run_suite(cfg)
     assert report.results["co_af"]["fail"] == 1
     assert not report.all_passed()
     (ce,) = report.counterexamples
@@ -208,7 +224,133 @@ def test_corrupt_form_hook_produces_counterexample():
 
 
 def test_every_suite_passes_once_per_dimension():
-    for dim in (2, 3):
+    for dim in (2, 3, 4):
         cfg = ExperimentConfig(dim=dim, n_trials=1, seed=21)
         report = run_suite(cfg)
         assert report.all_passed(), report.results
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(dump_json(obj).encode("utf-8")).hexdigest()
+
+
+def report_digest(cfg: ExperimentConfig) -> str:
+    """sha256 of a run's JSON report without its wall time."""
+    out = run_suite(cfg).to_json()
+    out.pop("wall_time")
+    return _digest(out)
+
+
+# Whole-report digests over every suite; a change to the suite layer that
+# shifts no draw and renames no field leaves them alone.
+REPORT_DIGESTS = [
+    (2, 1, 2,
+        "7226a89a8b9ff93c5781363f4d070ca185a364d3881c1c77d338d3770da4cf2c",
+    ),
+    (2, 7, 2,
+        "3b2002918d91538748930b9631841ee563ac40c222706863efb3c02c4de32efe",
+    ),
+    (3, 7, 1,
+        "633c63b1691a8bd0259d553fb8f7bb3395e4afc39defb2eb5fa1975cd5c337f8",
+    ),
+    (4, 7, 1,
+        "bb7e77ac6f0e41e6e5e52db8bd2354e30466a6f099efef1f64fb03ced2c4b674",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "dim, seed, trials, digest",
+    REPORT_DIGESTS,
+    ids=[f"d{row[0]}-seed{row[1]}-trials{row[2]}" for row in REPORT_DIGESTS],
+)
+def test_suite_report_digests_are_pinned(dim, seed, trials, digest):
+    assert report_digest(ExperimentConfig(dim=dim, seed=seed, n_trials=trials)) == digest
+
+
+def _fail_on_call(real, at, spoil):
+    """Wrap a checker so that its call number `at` returns spoil(result)."""
+    calls = [0]
+
+    def wrapper(*args):
+        result = real(*args)
+        calls[0] += 1
+        return spoil(result) if calls[0] == at else result
+
+    return wrapper
+
+
+def _refuse(_result):
+    return False
+
+
+def _no_square_positive(sig):
+    return Signature(pos=0, neg=sig.pos + sig.neg + sig.zero, zero=0)
+
+
+def _failed_report(report):
+    return {**report, "status": "fail"}
+
+
+# (suite, dim, checker in harness, failing call, how it fails, digest of
+# the counterexample records).  Each checker fails on its last call of the
+# trial, so the record pins every draw the trial makes before it.
+FORCED_FAILURES = [
+    ("af", 2, "reversed_cs_check", 10, _refuse,
+        "0e8b2fd4d2f8bb6e17fef5c573691bcac5d5bed2b9f23e21bdfafe8c0f9a13d9",
+    ),
+    ("af", 2, "signature", 1, _no_square_positive,
+        "e8dd7baea8df2f5251d7846ebac2f28cd4618d5e80b49f22324a6ef56c5df7ba",
+    ),
+    ("co_af", 2, "signature", 1, _no_square_positive,
+        "3cddcf0e59013a47293148e3d52276beba9cf36c6deca1dc2924798915f1ea73",
+    ),
+    ("co_af", 2, "cs_check", 10, _refuse,
+        "4d9a23bd22477bf9587fcb488e8b256deef6c640efeb2c879c262064beec1d5a",
+    ),
+    ("rbm", 2, "reversed_bm_check", 10, _refuse,
+        "8bfd1aa68b34ea15602b6353f94bd5f96dd875d8803e12664e5fc1b0d9230c7d",
+    ),
+    ("grbm", 2, "generalized_rbm_check", 2, _refuse,
+        "12ce1fa01fec9cdde1b05ba6ca3298609131fc207cc91e86ca37e5ebf020e2fe",
+    ),
+    ("grbm", 4, "generalized_rbm_check", 4, _refuse,
+        "9e4079afc3c1d24f4ab083981319c53ddb02c31c7e2c8bc5690c2a9013c468e8",
+    ),
+    ("mink1", 2, "mink1_check", 3, _refuse,
+        "f1aa0a4ae9c0bea4564c765505fd7360e685d7e25512bfbba633be80ccdde783",
+    ),
+    ("mink2", 2, "mink2_check", 3, _refuse,
+        "41a1cffd2043198b9f614fda8238bd42b839d5d3af372bd9a48c0992520cede2",
+    ),
+    ("lift_V", 2, "verify_identity_V", 1, _failed_report,
+        "35e996ba1cfa30c90c25fba38ccb88ea5239ab17a5b569129833fcd82f753dc9",
+    ),
+    ("lift_Q", 2, "verify_identity_Q", 1, _failed_report,
+        "33d2d21af7319f51f9c2ed48d974bcb8fb043ba6b805002ed0fa1f19328a7ae6",
+    ),
+    ("lift_sig", 2, "verify_signature_argument", 1, _failed_report,
+        "88a9d03782e1a908431bc8e49070266d462bc21d904f0bb4b12c2757ee8fa22a",
+    ),
+]
+
+
+def forced_failure_records(monkeypatch, suite, dim, checker, at, spoil):
+    real = getattr(harness, checker)
+    monkeypatch.setattr(harness, checker, _fail_on_call(real, at, spoil))
+    report = run_suite(ExperimentConfig(dim=dim, n_trials=1, seed=7, suite=(suite,)))
+    assert report.results == {suite: {"pass": 0, "fail": 1}}
+    return list(report.counterexamples)
+
+
+@pytest.mark.parametrize(
+    "suite, dim, checker, at, spoil, digest",
+    FORCED_FAILURES,
+    ids=[f"{row[0]}-d{row[1]}-{row[2]}" for row in FORCED_FAILURES],
+)
+def test_forced_failure_counterexamples_are_pinned(
+    monkeypatch, suite, dim, checker, at, spoil, digest
+):
+    records = forced_failure_records(monkeypatch, suite, dim, checker, at, spoil)
+    assert records[0]["suite"] == suite and records[0]["trial"] == 0
+    assert _digest(records) == digest
