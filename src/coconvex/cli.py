@@ -178,22 +178,25 @@ def _suite_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# `suite` flags that override an ExperimentConfig field: (flag, field).
+_SUITE_FLAGS = (
+    ("dim", "dim"),
+    ("n", "n_generators"),
+    ("trials", "n_trials"),
+    ("seed", "seed"),
+    ("bound", "coordinate_bound"),
+)
+
+
 def _cmd_suite(args) -> int:
     if args.config:
         cfg = config_from_json(read_json_file(args.config))
     else:
         cfg = ExperimentConfig()
     overrides = {}
-    if args.dim is not None:
-        overrides["dim"] = args.dim
-    if args.n is not None:
-        overrides["n_generators"] = args.n
-    if args.trials is not None:
-        overrides["n_trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.bound is not None:
-        overrides["coordinate_bound"] = args.bound
+    for flag, field in _SUITE_FLAGS:
+        if getattr(args, flag) is not None:
+            overrides[field] = getattr(args, flag)
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
         overrides["suite"] = tuple(ALL_SUITES) if names == ["all"] else tuple(names)

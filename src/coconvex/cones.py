@@ -125,12 +125,6 @@ def cone_polyhedron(cone: Cone) -> Polyhedron:
     return Polyhedron(cone.dim, ((ZERO,) * cone.dim,), cone.rays, facets)
 
 
-def dual_interior_functionals(cone: Cone):
-    """Extreme ray generators of the dual cone; any strictly positive
-    combination of all of them is positive on the cone minus the origin."""
-    return cone.duals
-
-
 def truncation_threshold(complement: Polyhedron, xi) -> Rat:
     """Largest xi-value over the complement's vertices.
 

@@ -166,14 +166,11 @@ def gen_coconvex_body(rng: SplitMix64, cone: Cone, bound: int) -> CoconvexBody:
     rays, so it is strictly positive on the cone; cutting at a positive
     level leaves the recession cone intact and the carved region bounded.
     """
-    from .cones import dual_interior_functionals
-
-    duals = dual_interior_functionals(cone)
     for _ in range(_RESAMPLE_BUDGET):
         K = cone_polyhedron(cone)
         for _ in range(rng.int_between(1, 3)):
             xi = [0] * cone.dim
-            for ray in duals:
+            for ray in cone.duals:
                 w = rng.int_between(1, bound)
                 for j in range(cone.dim):
                     xi[j] += w * ray[j]
@@ -199,18 +196,195 @@ def gen_coconvex_family(rng: SplitMix64, d: int, n: int, bound: int) -> Coconvex
     return make_coconvex_family(gens, marked)
 
 
-ALL_SUITES = (
-    "kernel",
-    "af",
-    "co_af",
-    "rbm",
-    "grbm",
-    "mink1",
-    "mink2",
-    "lift_V",
-    "lift_Q",
-    "lift_sig",
-)
+def _as_json(value):
+    """A drawn case value as JSON: vectors become lists, rationals strings."""
+    if isinstance(value, (tuple, list)):
+        return [_as_json(x) for x in value]
+    return rational_to_json(value) if isinstance(value, Rat) else value
+
+
+def _counterexample(check, **fields):
+    return {"check": check, **{key: _as_json(value) for key, value in fields.items()}}
+
+
+def _vectors(rng, n, kinds):
+    """One draw per letter of kinds: "p" a positive vector, "v" any nonzero one."""
+    return tuple(gen_positive_vector(rng, n) if k == "p" else gen_vector(rng, n) for k in kinds)
+
+
+def _repeat(times, kinds):
+    """Case generator: `times` fresh draws of the vectors named by kinds."""
+
+    def cases(rng, cfg):
+        for _ in range(times):
+            yield _vectors(rng, cfg.n_generators, kinds)
+
+    return cases
+
+
+_RBM_STEPS = (Rat(0), Rat(1, 4), Rat(1, 2), Rat(3, 4), Rat(1))
+
+
+def _rbm_cases(rng, cfg):
+    for u, v in _repeat(2, "pp")(rng, cfg):
+        for t in _RBM_STEPS:
+            yield u, v, t
+
+
+def _grbm_cases(rng, cfg):
+    # derivative orders 1 and d - 2: one order below d = 4, two from there
+    for k in sorted({1, cfg.dim - 2} & set(range(1, cfg.dim))):
+        for vectors in _repeat(2, "p" * (k + 2))(rng, cfg):
+            yield vectors[:k], vectors[k], vectors[k + 1]
+
+
+def _trial_kernel(rng, cfg):
+    d, bound = cfg.dim, cfg.coordinate_bound
+    K1 = gen_convex_body(rng, d, bound)
+    K2 = gen_convex_body(rng, d, bound)
+    fam = make_convex_family([K1, K2])
+    if volume_polynomial(fam) != volume_polynomial_interpolated(fam):
+        bodies = [polyhedron_to_json(K1), polyhedron_to_json(K2)]
+        return _counterexample("polarization_vs_interpolation", bodies=bodies)
+    shift = gen_point(rng, d, bound)
+    if volume(translate(K1, shift)) != volume(K1):
+        return _counterexample("translation_invariance", body=polyhedron_to_json(K1))
+    lam = Rat(rng.int_between(1, 3), rng.int_between(1, 3))
+    if volume(K1.scale(lam)) != lam**d * volume(K1):
+        return _counterexample("scale_homogeneity", body=polyhedron_to_json(K1))
+    if minkowski_sum(K1, K2) != minkowski_sum(K2, K1):
+        return _counterexample("minkowski_commutativity")
+    v1, v2, v12 = volume(K1), volume(K2), volume(minkowski_sum(K1, K2))
+    if compare_root_sum([(Rat(1), v12), (Rat(-1), v1), (Rat(-1), v2)], d) < 0:
+        bodies = [polyhedron_to_json(K1), polyhedron_to_json(K2)]
+        return _counterexample("brunn_minkowski", bodies=bodies)
+    if dd_convert_back(dd_convert(K1), d) != K1:
+        return _counterexample("facet_roundtrip", body=polyhedron_to_json(K1))
+    ones = (1,) * d
+    values = [sum(v) for v in K1.vertices]
+    cut = Halfspace.make(ones, (min(values) + max(values)) / 2)
+    piece = clip(K1, cut)
+    if not contains(K1, piece) or any(not cut.holds(v) for v in piece.vertices):
+        return _counterexample("clip_containment", body=polyhedron_to_json(K1))
+    return None
+
+
+def _trial_af(rng, cfg):
+    fam = gen_convex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
+    B, Q = af_form(fam)
+    for u1, u2 in _repeat(10, "vp")(rng, cfg):
+        if not reversed_cs_check(B, u1, u2):
+            return _counterexample(
+                "classical_af",
+                family=convex_family_to_json(fam),
+                form=form_to_json(B),
+                u1=u1,
+                u2=u2,
+            )
+    sig = signature(Q)
+    if sig.pos != 1:
+        return _counterexample(
+            "one_positive_square", family=convex_family_to_json(fam), signature=sig.astuple()
+        )
+    return None
+
+
+def _trial_co_af(rng, cfg):
+    fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
+    B, Q = polynomial_af_forms(co_volume_polynomial(fam), fam.marked)
+    sig = signature(Q)
+    if sig.neg != 0:
+        return _counterexample(
+            "nonnegative_form",
+            family=coconvex_family_to_json(fam),
+            form=form_to_json(Q),
+            signature=sig.astuple(),
+        )
+    for u1, u2 in _repeat(10, "vv")(rng, cfg):
+        if not cs_check(B, u1, u2):
+            return _counterexample(
+                "coconvex_cauchy_schwartz",
+                family=coconvex_family_to_json(fam),
+                form=form_to_json(B),
+                u1=u1,
+                u2=u2,
+            )
+    return None
+
+
+def _polynomial_trial(check, cases, holds, fields):
+    """Suite that tests holds(P, case) on the co-volume polynomial P of a
+    random coconvex family, for each case drawn after the family."""
+
+    def run(rng, cfg):
+        fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
+        P = co_volume_polynomial(fam)
+        for case in cases(rng, cfg):
+            if not holds(P, case):
+                family = coconvex_family_to_json(fam)
+                return _counterexample(check, family=family, **dict(zip(fields, case)))
+        return None
+
+    return run
+
+
+def _lift_trial(which, verify):
+    """Suite that runs one lift verifier, verify(lift, base polynomial)."""
+
+    def run(rng, cfg):
+        fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
+        lf = lift(fam)
+        report = verify(lf, co_volume_polynomial(fam))
+        if report["status"] != "ok":
+            family = coconvex_family_to_json(fam)
+            return _counterexample(f"lift_identity_{which}", family=family, report=report)
+        return None
+
+    return run
+
+
+# Every suite, in report order.  A trial takes its own substream and the
+# config and returns None when every check holds, else a counterexample.
+# Checkers are named inside lambdas, so they are looked up when a trial
+# runs and a wrapper or test double bound to the module name takes effect.
+SUITES = {
+    "kernel": _trial_kernel,
+    "af": _trial_af,
+    "co_af": _trial_co_af,
+    "rbm": _polynomial_trial(
+        "reversed_brunn_minkowski",
+        _rbm_cases,
+        lambda P, case: reversed_bm_check(P, *case),
+        ("u", "v", "t"),
+    ),
+    "grbm": _polynomial_trial(
+        "generalized_reversed_bm",
+        _grbm_cases,
+        lambda P, case: generalized_rbm_check(P, *case),
+        ("directions", "u", "v"),
+    ),
+    "mink1": _polynomial_trial(
+        "first_reversed_minkowski",
+        _repeat(3, "pp"),
+        lambda P, case: mink1_check(P, *case),
+        ("u", "v"),
+    ),
+    "mink2": _polynomial_trial(
+        "second_reversed_minkowski",
+        _repeat(3, "pv"),
+        lambda P, case: mink2_check(P, *case),
+        ("u", "v"),
+    ),
+    "lift_V": _lift_trial("V", lambda lf, base: verify_identity_V(lf, base)),
+    "lift_Q": _lift_trial(
+        "Q", lambda lf, base: verify_identity_Q(lf, lifted_volume_polynomial(lf), base)
+    ),
+    "lift_sig": _lift_trial(
+        "sig", lambda lf, base: verify_signature_argument(lf, lifted_volume_polynomial(lf), base)
+    ),
+}
+
+ALL_SUITES = tuple(SUITES)
 
 
 @dataclass(frozen=True)
@@ -300,218 +474,12 @@ class TrialReport:
         }
 
 
-def _trial_kernel(rng, cfg, corrupt_form=False):
-    d, bound = cfg.dim, cfg.coordinate_bound
-    K1 = gen_convex_body(rng, d, bound)
-    K2 = gen_convex_body(rng, d, bound)
-    fam = make_convex_family([K1, K2])
-    if volume_polynomial(fam) != volume_polynomial_interpolated(fam):
-        return False, {
-            "check": "polarization_vs_interpolation",
-            "bodies": [polyhedron_to_json(K1), polyhedron_to_json(K2)],
-        }
-    shift = gen_point(rng, d, bound)
-    if volume(translate(K1, shift)) != volume(K1):
-        return False, {"check": "translation_invariance", "body": polyhedron_to_json(K1)}
-    lam = Rat(rng.int_between(1, 3), rng.int_between(1, 3))
-    if volume(K1.scale(lam)) != lam**d * volume(K1):
-        return False, {"check": "scale_homogeneity", "body": polyhedron_to_json(K1)}
-    if minkowski_sum(K1, K2) != minkowski_sum(K2, K1):
-        return False, {"check": "minkowski_commutativity"}
-    v1, v2, v12 = volume(K1), volume(K2), volume(minkowski_sum(K1, K2))
-    if compare_root_sum([(Rat(1), v12), (Rat(-1), v1), (Rat(-1), v2)], d) < 0:
-        return False, {
-            "check": "brunn_minkowski",
-            "bodies": [polyhedron_to_json(K1), polyhedron_to_json(K2)],
-        }
-    if dd_convert_back(dd_convert(K1), d) != K1:
-        return False, {"check": "facet_roundtrip", "body": polyhedron_to_json(K1)}
-    ones = (1,) * d
-    values = [sum(v) for v in K1.vertices]
-    cut = Halfspace.make(ones, (min(values) + max(values)) / 2)
-    piece = clip(K1, cut)
-    if not contains(K1, piece) or any(not cut.holds(v) for v in piece.vertices):
-        return False, {"check": "clip_containment", "body": polyhedron_to_json(K1)}
-    return True, None
-
-
-def _trial_af(rng, cfg, corrupt_form=False):
-    fam = gen_convex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-    B, Q = af_form(fam)
-    n = cfg.n_generators
-    for _ in range(10):
-        u1 = gen_vector(rng, n)
-        u2 = gen_positive_vector(rng, n)
-        if not reversed_cs_check(B, u1, u2):
-            return False, {
-                "check": "classical_af",
-                "family": convex_family_to_json(fam),
-                "form": form_to_json(B),
-                "u1": list(u1),
-                "u2": list(u2),
-            }
-    sig = signature(Q)
-    if sig.pos != 1:
-        return False, {
-            "check": "one_positive_square",
-            "family": convex_family_to_json(fam),
-            "signature": list(sig.astuple()),
-        }
-    return True, None
-
-
-def _corrupted(matrix):
-    rows = [list(r) for r in matrix]
-    rows[0][0] = -rows[0][0]
-    return tuple(tuple(r) for r in rows)
-
-
-def _trial_co_af(rng, cfg, corrupt_form=False):
-    fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-    P = co_volume_polynomial(fam)
-    B, Q = polynomial_af_forms(P, fam.marked)
-    if corrupt_form:
-        B, Q = _corrupted(B), _corrupted(Q)
-    sig = signature(Q)
-    if sig.neg != 0:
-        return False, {
-            "check": "nonnegative_form",
-            "family": coconvex_family_to_json(fam),
-            "form": form_to_json(Q),
-            "signature": list(sig.astuple()),
-        }
-    n = cfg.n_generators
-    for _ in range(10):
-        u1 = gen_vector(rng, n)
-        u2 = gen_vector(rng, n)
-        if not cs_check(B, u1, u2):
-            return False, {
-                "check": "coconvex_cauchy_schwartz",
-                "family": coconvex_family_to_json(fam),
-                "form": form_to_json(B),
-                "u1": list(u1),
-                "u2": list(u2),
-            }
-    return True, None
-
-
-def _trial_rbm(rng, cfg, corrupt_form=False):
-    fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-    P = co_volume_polynomial(fam)
-    n = cfg.n_generators
-    steps = (Rat(0), Rat(1, 4), Rat(1, 2), Rat(3, 4), Rat(1))
-    for _ in range(2):
-        u = gen_positive_vector(rng, n)
-        v = gen_positive_vector(rng, n)
-        for t in steps:
-            if not reversed_bm_check(P, u, v, t):
-                return False, {
-                    "check": "reversed_brunn_minkowski",
-                    "family": coconvex_family_to_json(fam),
-                    "u": list(u),
-                    "v": list(v),
-                    "t": rational_to_json(t),
-                }
-    return True, None
-
-
-def _trial_grbm(rng, cfg, corrupt_form=False):
-    fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-    P = co_volume_polynomial(fam)
-    n = cfg.n_generators
-    orders = sorted({1, cfg.dim - 2} & set(range(1, cfg.dim)))
-    for k in orders:
-        for _ in range(2):
-            dirs = [gen_positive_vector(rng, n) for _ in range(k)]
-            u = gen_positive_vector(rng, n)
-            v = gen_positive_vector(rng, n)
-            if not generalized_rbm_check(P, dirs, u, v):
-                return False, {
-                    "check": "generalized_reversed_bm",
-                    "family": coconvex_family_to_json(fam),
-                    "directions": [list(w) for w in dirs],
-                    "u": list(u),
-                    "v": list(v),
-                }
-    return True, None
-
-
-def _trial_mink1(rng, cfg, corrupt_form=False):
-    fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-    P = co_volume_polynomial(fam)
-    n = cfg.n_generators
-    for _ in range(3):
-        u = gen_positive_vector(rng, n)
-        v = gen_positive_vector(rng, n)
-        if not mink1_check(P, u, v):
-            return False, {
-                "check": "first_reversed_minkowski",
-                "family": coconvex_family_to_json(fam),
-                "u": list(u),
-                "v": list(v),
-            }
-    return True, None
-
-
-def _trial_mink2(rng, cfg, corrupt_form=False):
-    fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-    P = co_volume_polynomial(fam)
-    n = cfg.n_generators
-    for _ in range(3):
-        u = gen_positive_vector(rng, n)
-        v = gen_vector(rng, n)
-        if not mink2_check(P, u, v):
-            return False, {
-                "check": "second_reversed_minkowski",
-                "family": coconvex_family_to_json(fam),
-                "u": list(u),
-                "v": list(v),
-            }
-    return True, None
-
-
-def _lift_trial(which):
-    def run(rng, cfg, corrupt_form=False):
-        fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-        lf = lift(fam)
-        base = co_volume_polynomial(fam)
-        if which == "V":
-            report = verify_identity_V(lf, base)
-        else:
-            verify = verify_identity_Q if which == "Q" else verify_signature_argument
-            report = verify(lf, lifted_volume_polynomial(lf), base)
-        if report["status"] != "ok":
-            return False, {
-                "check": f"lift_identity_{which}",
-                "family": coconvex_family_to_json(fam),
-                "report": report,
-            }
-        return True, None
-
-    return run
-
-
-SUITES = {
-    "kernel": _trial_kernel,
-    "af": _trial_af,
-    "co_af": _trial_co_af,
-    "rbm": _trial_rbm,
-    "grbm": _trial_grbm,
-    "mink1": _trial_mink1,
-    "mink2": _trial_mink2,
-    "lift_V": _lift_trial("V"),
-    "lift_Q": _lift_trial("Q"),
-    "lift_sig": _lift_trial("sig"),
-}
-
-
-def run_suite(cfg: ExperimentConfig, corrupt_form: bool = False) -> TrialReport:
+def run_suite(cfg: ExperimentConfig) -> TrialReport:
     """Run the selected suites over seeded trials.
 
     Every trial draws from a substream derived from the root seed, the
     suite name, and the trial index, so adding or removing suites never
-    shifts another suite's instances.  corrupt_form is a self-test hook
-    that negates a form entry before the co_af checks run.
+    shifts another suite's instances.
     """
     from . import __version__
 
@@ -520,18 +488,16 @@ def run_suite(cfg: ExperimentConfig, corrupt_form: bool = False) -> TrialReport:
     results = {}
     counterexamples = []
     for name in cfg.suite:
-        fn = SUITES[name]
+        trial = SUITES[name]
         passed = failed = 0
         for index in range(cfg.n_trials):
             rng = root.derive(f"{name}:{index}")
-            ok, ce = fn(rng, cfg, corrupt_form=corrupt_form)
-            if ok:
+            ce = trial(rng, cfg)
+            if ce is None:
                 passed += 1
             else:
                 failed += 1
-                record = {"suite": name, "trial": index}
-                record.update(ce or {})
-                counterexamples.append(record)
+                counterexamples.append({"suite": name, "trial": index, **ce})
         results[name] = {"pass": passed, "fail": failed}
     return TrialReport(
         config=cfg,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .cones import Cone, CoconvexBody, make_cone, make_coconvex
-from .errors import CoconvexError
+from .errors import CoconvexError, DimensionMismatch
 from .forms import (
     CoconvexFamily,
     ConvexFamily,
@@ -23,10 +23,34 @@ from .rational import Rat, rat, rat_str
 
 
 def _field(obj, key, what):
-    try:
-        return obj[key]
-    except (KeyError, TypeError):
-        raise CoconvexError(f"{what} needs a {key!r} field") from None
+    if not isinstance(obj, dict):
+        raise CoconvexError(f"{what} must be a JSON object")
+    if key not in obj:
+        raise CoconvexError(f"{what} needs a {key!r} field")
+    return obj[key]
+
+
+def _int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CoconvexError(f"{what} must be a JSON integer")
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise CoconvexError(f"{what} must be a JSON list")
+    return value
+
+
+def _int_field(obj, key, what):
+    return _int(_field(obj, key, what), f"{what} field {key!r}")
+
+
+def _list_field(obj, key, what, default=None):
+    """obj[key] as a JSON list; a field with a default may be left out."""
+    if default is not None and isinstance(obj, dict) and key not in obj:
+        return default
+    return _list(_field(obj, key, what), f"{what} field {key!r}")
 
 
 def rational_to_json(x) -> str:
@@ -38,7 +62,7 @@ def vector_to_json(v):
 
 
 def vector_from_json(v):
-    return tuple(rat(x) for x in v)
+    return tuple(rat(x) for x in _list(v, "a vector"))
 
 
 def polyhedron_to_json(P: Polyhedron) -> dict:
@@ -50,9 +74,13 @@ def polyhedron_to_json(P: Polyhedron) -> dict:
 
 
 def polyhedron_from_json(obj: dict) -> Polyhedron:
-    dim = int(_field(obj, "dim", "polyhedron"))
-    vertices = [vector_from_json(v) for v in obj.get("vertices", [])]
-    rays = [vector_from_json(r) for r in obj.get("rays", [])]
+    dim = _int_field(obj, "dim", "polyhedron")
+    if dim < 1:
+        raise DimensionMismatch("polyhedron field 'dim' must be at least 1")
+    vertices = [vector_from_json(v) for v in _list_field(obj, "vertices", "polyhedron", [])]
+    rays = [vector_from_json(r) for r in _list_field(obj, "rays", "polyhedron", [])]
+    if any(len(v) != dim for v in vertices):
+        raise DimensionMismatch(f"a polyhedron vertex does not have dim = {dim} coordinates")
     if not vertices:
         if rays:
             raise CoconvexError("rays without vertices do not describe a polyhedron")
@@ -66,7 +94,7 @@ def cone_to_json(c: Cone) -> dict:
 
 def cone_from_json(obj: dict) -> Cone:
     # the stored xi is advisory; the constructor recomputes the canonical one
-    return make_cone([vector_from_json(r) for r in _field(obj, "rays", "cone")])
+    return make_cone([vector_from_json(r) for r in _list_field(obj, "rays", "cone")])
 
 
 def coconvex_to_json(b: CoconvexBody) -> dict:
@@ -80,6 +108,13 @@ def coconvex_from_json(obj: dict) -> CoconvexBody:
     )
 
 
+def _marked_from_json(obj, what):
+    """A family's marked vectors, or None when the file leaves them out."""
+    if "marked" not in obj:
+        return None
+    return [vector_from_json(v) for v in _list_field(obj, "marked", what)]
+
+
 def convex_family_to_json(f: ConvexFamily) -> dict:
     return {
         "dim": f.dim,
@@ -89,9 +124,8 @@ def convex_family_to_json(f: ConvexFamily) -> dict:
 
 
 def convex_family_from_json(obj: dict) -> ConvexFamily:
-    gens = [polyhedron_from_json(g) for g in _field(obj, "generators", "convex family")]
-    marked = [vector_from_json(v) for v in obj["marked"]] if "marked" in obj else None
-    return make_convex_family(gens, marked)
+    gens = [polyhedron_from_json(g) for g in _list_field(obj, "generators", "convex family")]
+    return make_convex_family(gens, _marked_from_json(obj, "convex family"))
 
 
 def coconvex_family_to_json(f: CoconvexFamily) -> dict:
@@ -106,10 +140,9 @@ def coconvex_family_from_json(obj: dict) -> CoconvexFamily:
     cone = cone_from_json(_field(obj, "cone", "coconvex family"))
     gens = [
         make_coconvex(cone, polyhedron_from_json(g))
-        for g in _field(obj, "generators", "coconvex family")
+        for g in _list_field(obj, "generators", "coconvex family")
     ]
-    marked = [vector_from_json(v) for v in obj["marked"]] if "marked" in obj else None
-    return make_coconvex_family(gens, marked)
+    return make_coconvex_family(gens, _marked_from_json(obj, "coconvex family"))
 
 
 def polynomial_to_json(P: HomogeneousPolynomial) -> dict:
@@ -125,13 +158,13 @@ def polynomial_to_json(P: HomogeneousPolynomial) -> dict:
 
 def polynomial_from_json(obj: dict) -> HomogeneousPolynomial:
     coeffs = {
-        tuple(int(e) for e in _field(t, "exp", "polynomial term")): rat(
+        tuple(_int(e, "an exponent") for e in _list_field(t, "exp", "polynomial term")): rat(
             _field(t, "coeff", "polynomial term")
         )
-        for t in _field(obj, "terms", "polynomial")
+        for t in _list_field(obj, "terms", "polynomial")
     }
     return HomogeneousPolynomial(
-        int(_field(obj, "nvars", "polynomial")), int(_field(obj, "degree", "polynomial")), coeffs
+        _int_field(obj, "nvars", "polynomial"), _int_field(obj, "degree", "polynomial"), coeffs
     )
 
 
@@ -140,8 +173,8 @@ def form_to_json(matrix) -> dict:
 
 
 def form_from_json(obj: dict):
-    n = int(_field(obj, "n", "matrix"))
-    rows = tuple(tuple(rat(x) for x in row) for row in _field(obj, "rows", "matrix"))
+    n = _int_field(obj, "n", "matrix")
+    rows = tuple(vector_from_json(row) for row in _list_field(obj, "rows", "matrix"))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise CoconvexError("matrix rows do not match the declared size")
     return rows
@@ -156,9 +189,13 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def read_json_file(path: str):
+def read_json_file(path: str) -> dict:
+    """A JSON file's top-level object; every format read here is one."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise CoconvexError(f"{path}: expected a JSON object at the top level")
+    return obj
 
 
 def write_json_file(path: str, obj) -> None:

@@ -27,11 +27,17 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def rat(value) -> Rat:
-    """Coerce an int, Rat, or "p/q" string to a canonical rational."""
+    """Coerce an int, Rat, or "p/q" string to a canonical rational.
+
+    Floats are refused, so a binary expansion never passes for the decimal
+    it approximates, and so are bools, which are ints only to Python.
+    """
     if isinstance(value, str):
         if not _RAT_RE.match(value):
             raise ValueError(f"not a rational literal: {value!r}")
         return Rat(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Rat)):
+        raise ValueError(f"not an exact rational (an int or a 'p/q' string): {value!r}")
     return Rat(value)
 
 

@@ -163,6 +163,65 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2 and out == "" and "'dims'" in err
 
 
+_SQUARE = [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]
+_QUADRANT = {"rays": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("volume", {"dim": 2, "vertices": [[0.1, 0], [1, 0], [0, 1]]}),
+        ("volume", {"dim": 2, "vertices": [[True, 0], [1, 0], [0, 1]]}),
+        ("volume", {"dim": 2.9, "vertices": _SQUARE}),
+        ("volume", {"dim": True, "vertices": [[0], [1]]}),
+        ("volume", {"dim": 2, "vertices": [["0"], ["1"]]}),
+        ("volume", {"dim": 0, "vertices": []}),
+        ("volume", {"dim": 2, "vertices": "0 0, 1 0, 0 1"}),
+        ("volume", {"dim": 2, "vertices": [5, 6, 7]}),
+        ("volume", {"dim": 2, "vertices": _SQUARE, "rays": 5}),
+        ("volume", [2, _SQUARE]),
+        ("volume", 7),
+        ("volume", {"cone": {"rays": 3}, "complement": {"dim": 2, "vertices": _SQUARE}}),
+        ("volpoly", {"generators": {"dim": 2, "vertices": _SQUARE}}),
+        ("volpoly", {"generators": [{"dim": 2, "vertices": _SQUARE}], "marked": 1}),
+        ("volpoly", {"cone": _QUADRANT, "generators": 4}),
+        ("signature", {"n": 2, "rows": "1001"}),
+        ("signature", {"n": 2, "rows": [["1", "0"], 7]}),
+        ("signature", {"n": 2.0, "rows": [["1", "0"], ["0", "1"]]}),
+        ("signature", {"n": 2, "rows": [["1", 0.5], [0.5, "1"]]}),
+    ],
+    ids=[
+        "float_coordinate",
+        "bool_coordinate",
+        "float_dim",
+        "bool_dim",
+        "short_vertex",
+        "zero_dim",
+        "string_vertices",
+        "scalar_vertices",
+        "scalar_rays",
+        "list_document",
+        "number_document",
+        "scalar_cone_rays",
+        "object_generators",
+        "scalar_marked",
+        "scalar_coconvex_generators",
+        "string_rows",
+        "scalar_row",
+        "float_size",
+        "float_entry",
+    ],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, command, payload):
+    # floats, bools, wrong lengths and non-list containers are refused on load,
+    # never coerced and never left to end in a traceback
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("coconvex: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "exc",
     [

@@ -133,3 +133,20 @@ def test_missing_fields_raise_coconvex_errors():
         polynomial_from_json({"nvars": 2, "degree": 2})
     with pytest.raises(CoconvexError):
         form_from_json({"rows": []})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"nvars": 2.0, "degree": 1, "terms": []},
+        {"nvars": 2, "degree": True, "terms": []},
+        {"nvars": 2, "degree": 1, "terms": {"exp": [1, 0], "coeff": "1"}},
+        {"nvars": 2, "degree": 1, "terms": [{"exp": [1.0, 0], "coeff": "1"}]},
+        {"nvars": 2, "degree": 1, "terms": [{"exp": "10", "coeff": "1"}]},
+        {"nvars": 2, "degree": 1, "terms": [{"exp": [1, 0], "coeff": 0.5}]},
+    ],
+    ids=["float_nvars", "bool_degree", "object_terms", "float_exp", "string_exp", "float_coeff"],
+)
+def test_polynomial_from_json_is_strict(obj):
+    with pytest.raises(ValueError, match="must be|not an exact rational"):
+        polynomial_from_json(obj)

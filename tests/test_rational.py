@@ -21,8 +21,11 @@ def test_rat_parses_integers_and_fractions():
     assert rat(Rat(1, 3)) == Rat(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "x", "2/", "/3"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "1/0", "1/-2", "x", "2/", "/3", 0.1, 2.0, True, False, None, [1]]
+)
 def test_rat_rejects_non_literals(bad):
+    # a float would bring its binary expansion, a bool its truth value
     with pytest.raises(ValueError):
         rat(bad)
 
