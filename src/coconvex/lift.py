@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .cones import cone_polyhedron, truncation_threshold
-from .errors import CoconvexError, InvalidTruncation
+from .errors import CoconvexError, DimensionMismatch, InvalidTruncation
 from .forms import CoconvexFamily, polynomial_af_forms
 from .linalg import dot
 from .polynomial import (
@@ -66,6 +66,8 @@ class LiftedFamily:
 def lift(fam: CoconvexFamily, xi=None) -> LiftedFamily:
     """Build the lifted family: cutoff functional, window, marked levels."""
     xi = tuple(xi) if xi is not None else fam.cone.xi
+    if len(xi) != fam.dim:
+        raise DimensionMismatch("cutoff functional of wrong length")
     if any(dot(xi, r) <= 0 for r in fam.cone.rays):
         raise InvalidTruncation("functional is not positive on every cone ray")
     t0 = max(truncation_threshold(g.complement, xi) for g in fam.generators)

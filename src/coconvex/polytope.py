@@ -20,9 +20,12 @@ dimension two or more is generated by generators lying on more facets than
 its relative interior does.  A generator on every facet lies in the
 lineality space of C, so the polyhedron contains a line.  The facets of
 that same pass ride on the body (`Polyhedron.facets`, outside equality and
-hashing); `scale` and `translate` map them, and `dd_convert`, `clip`,
-`contains` and the top level of `volume` read them instead of running DD
-again.
+hashing).  Every non-empty body carries its facets, so `dd_convert`,
+`clip`, `contains`, `affine_dimension` and the top level of `volume` read
+them and never run DD for them.  `scale` and `translate` map the facets of
+a full-dimensional body.  A lower-dimensional body's facet normals lie in
+the span of its homogenized generators, which moves with the body, so
+there they run one DD pass on the moved generators instead.
 
 Halfspaces to vertices (`dd_convert_back`, and so every `clip`) is the
 dual pass.  The rows are the input halfspaces and the height row x_0 >= 0;
@@ -34,8 +37,11 @@ cone appears among the rows, and any other face lies on a strict subset of
 a facet's rays.  Those rows, less the height row, are the facets the body
 carries, so a clipped body's volume, a second `clip` of it and
 `cones.make_coconvex` on it run no DD of their own.  A row that vanishes on
-every ray is an implicit equation, and such a lower-dimensional body
-carries no facets.
+every ray is an implicit equation; such a lower-dimensional body gets its
+facets from one more DD pass, on its vertices and rays.  In a facet tuple
+an equation is an opposite pair of halfspaces, one per dimension the
+affine hull lacks, which is how `affine_dimension` and `volume` tell a
+lower-dimensional body.
 
 Volume runs on integers.  The vertices are scaled once by L, the lcm of
 their coordinate denominators, which makes P a lattice polytope LP; the
@@ -64,7 +70,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, lcm
 
-from .dd import _gauss_jordan, cone_extreme_rays
+from .dd import cone_extreme_rays
 from .errors import (
     CoconvexError,
     DimensionMismatch,
@@ -73,11 +79,10 @@ from .errors import (
     UnboundedPolyhedron,
 )
 from .linalg import dot, primitive_integer, vadd
-from .rational import Rat, ZERO
+from .rational import Rat, ZERO, rat
 
-# Entries kept by each bounded cache: `volume`, `_facets_cached` and
-# `cones.cone_polyhedron`.  Bounded so that memory stays flat over long
-# runs such as `suite`.
+# Entries kept by each bounded cache: `volume` and `cones.cone_polyhedron`.
+# Bounded so that memory stays flat over long runs such as `suite`.
 CACHE_MAXSIZE = 128
 
 
@@ -122,26 +127,25 @@ def _halfspaces(dual_rays, dual_lin) -> tuple[Halfspace, ...]:
     return _sorted_halfspaces(halfspaces)
 
 
-def _has_equation(facets) -> bool:
-    """Whether a facet tuple holds an opposite pair, i.e. an equation of a
-    lower-dimensional affine hull."""
+def _equations(facets) -> int:
+    """How many affine-hull equations a facet tuple holds: its opposite
+    pairs."""
     keys = {(h.normal, h.bound) for h in facets}
-    return any((tuple(-c for c in h.normal), -h.bound) in keys for h in facets)
+    return sum((tuple(-c for c in h.normal), -h.bound) in keys for h in facets) // 2
 
 
-def _moved_facets(facets, new_bound):
-    """Carried facets under a translation or a positive scaling, which keep
-    every normal and move each bound to new_bound(h); None when there is
-    nothing to carry.
+def _moved(P, verts, new_bound) -> "Polyhedron":
+    """P's rays over new vertices, under a translation or a positive scaling,
+    which keep every facet normal and move each bound to new_bound(h).
 
-    Only a full-dimensional body keeps its facets.  For a lower-dimensional
-    one DD picks each normal inside the span of the homogenized generators,
-    and that span moves with the body, so its facets are left to
-    `dd_convert`.
+    A lower-dimensional body's facet normals lie in the span of its
+    homogenized generators, which moves with the body, so it gets its
+    facets from one DD pass instead.
     """
-    if facets is None or _has_equation(facets):
-        return None
-    return _sorted_halfspaces(Halfspace.make(h.normal, new_bound(h)) for h in facets)
+    if _equations(P.facets):
+        return _hull(verts, P.rays, P.dim)
+    facets = _sorted_halfspaces(Halfspace.make(h.normal, new_bound(h)) for h in P.facets)
+    return Polyhedron(P.dim, verts, P.rays, facets)
 
 
 @dataclass(frozen=True)
@@ -151,14 +155,14 @@ class Polyhedron:
     dim: int
     vertices: tuple[tuple, ...]
     rays: tuple[tuple[int, ...], ...]
-    # The canonical facet form (what `dd_convert` computes), when the factory
-    # that built the body found it; None otherwise.  Equality, hashing and
-    # repr ignore it, so a body compares equal with or without its facets.
-    facets: tuple[Halfspace, ...] | None = field(default=None, compare=False, repr=False)
+    # The canonical facet form, which every factory supplies: () for the
+    # empty body, and for a lower-dimensional one an opposite pair per
+    # affine-hull equation.  Equality, hashing and repr ignore it.
+    facets: tuple[Halfspace, ...] = field(compare=False, repr=False)
 
     @classmethod
     def empty(cls, dim: int) -> "Polyhedron":
-        return cls(dim, (), ())
+        return cls(dim, (), (), ())
 
     @property
     def is_empty(self) -> bool:
@@ -172,19 +176,17 @@ class Polyhedron:
         vec = tuple(Rat(x) for x in vec)
         if len(vec) != self.dim:
             raise DimensionMismatch("translation vector has wrong length")
-        # a . x <= b becomes a . x <= b + a . vec
-        facets = _moved_facets(self.facets, lambda h: h.bound + dot(h.normal, vec))
         verts = tuple(vadd(v, vec) for v in self.vertices)
-        return Polyhedron(self.dim, verts, self.rays, facets)
+        # a . x <= b becomes a . x <= b + a . vec
+        return _moved(self, verts, lambda h: h.bound + dot(h.normal, vec))
 
     def scale(self, factor) -> "Polyhedron":
         factor = Rat(factor)
         if factor <= 0:
             raise CoconvexError("scale factor must be positive")
-        # a . x <= b becomes a . x <= factor * b
-        facets = _moved_facets(self.facets, lambda h: factor * h.bound)
         verts = tuple(tuple(factor * x for x in v) for v in self.vertices)
-        return Polyhedron(self.dim, verts, self.rays, facets)
+        # a . x <= b becomes a . x <= factor * b
+        return _moved(self, verts, lambda h: factor * h.bound)
 
 
 def _as_rat_points(points, dim):
@@ -192,7 +194,7 @@ def _as_rat_points(points, dim):
     for p in points:
         if len(p) != dim:
             raise DimensionMismatch("point of wrong length")
-        out.append(tuple(Rat(x) for x in p))
+        out.append(tuple(rat(x) for x in p))
     return out
 
 
@@ -203,20 +205,11 @@ def _lattice_scaled(points):
     return L, [tuple(int(x.numerator) * (L // int(x.denominator)) for x in p) for p in points]
 
 
-def _affine_rank(points, rays, dim) -> int:
-    """Dimension of the affine hull of integer points plus integer rays, by
-    fraction-free elimination."""
-    base = points[0]
-    rows = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    rows.extend(rays)
-    return len(_gauss_jordan(rows, dim)[0])
-
-
 def affine_dimension(P: Polyhedron) -> int:
     """Dimension of the affine hull; -1 for the empty polyhedron."""
     if P.is_empty:
         return -1
-    return _affine_rank(_lattice_scaled(P.vertices)[1], P.rays, P.dim)
+    return P.dim - _equations(P.facets)
 
 
 def _maximal_masks(masks) -> set[int]:
@@ -250,6 +243,13 @@ def _canonical_from_generators(L, points, rays, dim) -> Polyhedron:
     )
 
 
+def _hull(points, rays, dim) -> Polyhedron:
+    """Canonical conv(points) + cone(rays), with its facets, from one DD
+    pass; the points are rational, the rays primitive integer tuples."""
+    L, scaled = _lattice_scaled(points)
+    return _canonical_from_generators(L, set(scaled), set(rays), dim)
+
+
 def convex_hull(points, rays=()) -> Polyhedron:
     """Canonical hull of a point set plus optional recession generators."""
     points = list(points)
@@ -263,12 +263,11 @@ def convex_hull(points, rays=()) -> Polyhedron:
     for r in rays:
         if len(r) != dim:
             raise DimensionMismatch("ray of wrong length")
-        p = primitive_integer(r)
+        p = primitive_integer([rat(x) for x in r])
         if all(c == 0 for c in p):
             raise CoconvexError("zero vector is not a ray")
         rs.append(p)
-    L, scaled = _lattice_scaled(pts)
-    return _canonical_from_generators(L, set(scaled), set(rs), dim)
+    return _hull(pts, rs, dim)
 
 
 def _facets_of_point_set(verts, dim):
@@ -288,33 +287,18 @@ def _facets_of_point_set(verts, dim):
 
 
 def dd_convert(P: Polyhedron) -> tuple[Halfspace, ...]:
-    """Irredundant facet description; lower-dimensional input yields paired
-    opposite halfspaces for each affine-hull equation."""
+    """Irredundant facet description, the one the body carries;
+    lower-dimensional input yields paired opposite halfspaces for each
+    affine-hull equation."""
     if P.is_empty:
         raise EmptyInput("no facet form for the empty polyhedron")
-    if P.facets is not None:
-        return P.facets
-    L, points = _lattice_scaled(P.vertices)
-    gens = [(L,) + p for p in points]
-    gens.extend((0,) + r for r in P.rays)
-    dual_rays, dual_lin, _ = cone_extreme_rays(gens, P.dim + 1)
-    return _halfspaces(dual_rays, dual_lin)
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _facets_cached(P: Polyhedron) -> tuple[Halfspace, ...]:
-    return dd_convert(P)
-
-
-def _facets(P: Polyhedron) -> tuple[Halfspace, ...]:
-    """The carried facets, else one cached DD pass."""
-    return P.facets if P.facets is not None else _facets_cached(P)
+    return P.facets
 
 
 def dd_convert_back(halfspaces, dim: int) -> Polyhedron:
-    """Vertex form of an intersection of halfspaces, with its facets when it
-    is full-dimensional; empty input set of constraints gives the whole
-    space, which is rejected as unpointed."""
+    """Vertex form of an intersection of halfspaces, with its facets; empty
+    input set of constraints gives the whole space, which is rejected as
+    unpointed."""
     rows = [(h.bound,) + tuple(-c for c in h.normal) for h in halfspaces]
     rows.append((1,) + (0,) * dim)
     rays, lineality, masks = cone_extreme_rays(rows, dim + 1)
@@ -332,11 +316,11 @@ def dd_convert_back(halfspaces, dim: int) -> Polyhedron:
         else:
             rec.append(ray[1:])
     # A row on every ray is an implicit equation: the body is
-    # lower-dimensional and carries no facets.
-    facets = None
-    if (1 << len(rays)) - 1 not in masks:
-        maximal = _maximal_masks(masks)
-        facets = _halfspaces({row for row, m in zip(rows, masks) if m in maximal}, ())
+    # lower-dimensional, and its facets take a DD pass of their own.
+    if (1 << len(rays)) - 1 in masks:
+        return _hull(verts, rec, dim)
+    maximal = _maximal_masks(masks)
+    facets = _halfspaces({row for row, m in zip(rows, masks) if m in maximal}, ())
     return Polyhedron(dim, tuple(sorted(verts)), tuple(sorted(rec)), facets)
 
 
@@ -360,7 +344,7 @@ def clip(P: Polyhedron, halfspace: Halfspace) -> Polyhedron:
         raise DimensionMismatch("halfspace of wrong dimension")
     if P.is_empty:
         return P
-    return dd_convert_back(_facets(P) + (halfspace,), P.dim)
+    return dd_convert_back(P.facets + (halfspace,), P.dim)
 
 
 def contains(P: Polyhedron, Q: Polyhedron) -> bool:
@@ -371,7 +355,7 @@ def contains(P: Polyhedron, Q: Polyhedron) -> bool:
         return True
     if P.is_empty:
         return False
-    for h in _facets(P):
+    for h in P.facets:
         if any(h.value(v) > h.bound for v in Q.vertices):
             return False
         if any(h.value(r) > 0 for r in Q.rays):
@@ -447,25 +431,14 @@ def volume(P: Polyhedron):
     """
     if not P.is_bounded:
         raise UnboundedPolyhedron("volume needs a bounded polyhedron")
-    if P.is_empty:
+    if P.is_empty or _equations(P.facets):
         return ZERO
     L, points = _lattice_scaled(P.vertices)
     d = P.dim
-    if P.facets is None:
-        if _affine_rank(points, (), d) < d:
-            return ZERO
-        facets = None
-    else:
-        # equation pairs mark a lower-dimensional body; LP has bounds L * b
-        if _has_equation(P.facets):
-            return ZERO
-        facets = [(h.normal, L * h.bound) for h in P.facets]
+    # LP has the carried facets at bounds L * b
+    facets = [(h.normal, L * h.bound) for h in P.facets]
     return Rat(_normalized_volume(points, d, facets), factorial(d) * L**d)
 
 
 def translate(P: Polyhedron, vec) -> Polyhedron:
     return P.translate(vec)
-
-
-def scale(P: Polyhedron, factor) -> Polyhedron:
-    return P.scale(factor)

@@ -1,11 +1,17 @@
-"""The two-pass hull, kept as a test oracle.
+"""The two-pass hull and the facet scan from vertices, kept as test oracles.
 
-This is the `_canonical_from_generators` that the one-pass hull in
+`_canonical_from_generators` is the hull that the one-pass hull in
 `coconvex.polytope` replaced: a double description pass from generators to
 facets, then a second pass from those facets back to the extreme rays of
 the homogenization cone.  It reads the vertices and rays off the second
-pass instead of off incidence, and carries no facets.  Differential tests
-require both to return the identical polyhedron, or the same `NotPointed`.
+pass instead of off incidence, and carries the facets of its first pass.
+Differential tests require both to return the identical polyhedron with
+the same facets, or the same `NotPointed`.
+
+`facets` is the conversion from vertices and rays to facets that
+`polytope.dd_convert` ran for a body that carried none, before every body
+carried its own: one DD pass on the homogenized generators.  Differential
+tests require every body a factory builds to carry exactly these facets.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from coconvex.dd import cone_extreme_rays
 from coconvex.errors import NotPointed
 from coconvex.linalg import primitive_integer, vadd
-from coconvex.polytope import Polyhedron
+from coconvex.polytope import Polyhedron, _halfspaces, _lattice_scaled
 from coconvex.rational import Rat
 
 
@@ -21,6 +27,7 @@ def _canonical_from_generators(points, rays, dim) -> Polyhedron:
     gens = [(Rat(1),) + p for p in points]
     gens.extend((Rat(0),) + tuple(r) for r in rays)
     dual_rays, dual_lin, _ = cone_extreme_rays(gens, dim + 1)
+    facets = _halfspaces(dual_rays, dual_lin)
     rows = list(dual_rays)
     for z in dual_lin:
         rows.append(z)
@@ -34,7 +41,18 @@ def _canonical_from_generators(points, rays, dim) -> Polyhedron:
             verts.append(tuple(Rat(x, ray[0]) for x in ray[1:]))
         else:
             rec.append(ray[1:])
-    return Polyhedron(dim, tuple(sorted(verts)), tuple(sorted(rec)))
+    return Polyhedron(dim, tuple(sorted(verts)), tuple(sorted(rec)), facets)
+
+
+def facets(P):
+    """Irredundant facet description of a non-empty body, from its vertices
+    and rays alone; lower-dimensional input yields paired opposite
+    halfspaces for each affine-hull equation."""
+    L, points = _lattice_scaled(P.vertices)
+    gens = [(L,) + p for p in points]
+    gens.extend((0,) + r for r in P.rays)
+    dual_rays, dual_lin, _ = cone_extreme_rays(gens, P.dim + 1)
+    return _halfspaces(dual_rays, dual_lin)
 
 
 def convex_hull(points, rays=()) -> Polyhedron:

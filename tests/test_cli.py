@@ -124,11 +124,11 @@ def test_suite_all_keyword(capsys):
 
 
 def test_suite_caches_stay_bounded(capsys):
-    # A long suite run fills the volume, facet and cone-polyhedron caches up
-    # to their bound and no further.
+    # A long suite run fills the volume and cone-polyhedron caches up to
+    # their bound and no further.
     from coconvex import cones, polytope
 
-    caches = (polytope.volume, polytope._facets_cached, cones.cone_polyhedron)
+    caches = (polytope.volume, cones.cone_polyhedron)
     code, _, _ = run_cli(capsys, "suite", "--suite", "all", "--dim", "2", "--trials", "5")
     assert code == 0
     for cache in caches:

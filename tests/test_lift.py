@@ -3,7 +3,7 @@ from importlib import import_module
 import pytest
 
 from coconvex.cones import co_scale, make_coconvex, make_cone
-from coconvex.errors import CoconvexError, InvalidTruncation
+from coconvex.errors import CoconvexError, DimensionMismatch, InvalidTruncation
 from coconvex.forms import co_volume_polynomial, make_coconvex_family
 from coconvex.harness import SplitMix64, gen_coconvex_family
 from coconvex.lift import (
@@ -61,6 +61,15 @@ def test_lift_rejects_bad_functional(corner_triangle):
     fam = make_coconvex_family([corner_triangle])
     with pytest.raises(InvalidTruncation):
         lift(fam, xi=(1, -1))
+
+
+def test_lift_rejects_functional_of_wrong_length(corner_simplex):
+    # a positive prefix is not enough: dot would zip (1, 1, 1, 5) down to
+    # the cone's three coordinates and accept it
+    fam = make_coconvex_family([corner_simplex])
+    for xi in [(1, 1, 1, 5), (1, 1)]:
+        with pytest.raises(DimensionMismatch):
+            lift(fam, xi=xi)
 
 
 def test_sector_constant(triangle_lift, simplex_lift):

@@ -1,4 +1,5 @@
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,25 @@ def test_hull_drops_interior_and_duplicate_points():
 def test_hull_requires_consistent_dimension():
     with pytest.raises(DimensionMismatch):
         convex_hull([(0, 0), (1, 2, 3)])
+
+
+def test_hull_refuses_floats_and_bools():
+    # 0.1 would enter as its binary expansion (a volume of
+    # 32425917317067571/72057594037927936, not 9/20) and True as 1
+    for points, rays in [
+        ([(0.1, 0), (1, 0), (0, 1)], ()),
+        ([(True, 0), (1, 0), (0, 1)], ()),
+        ([(0, 0)], [(0.5, 1)]),
+        ([(0, 0)], [(True, 1)]),
+    ]:
+        with pytest.raises(ValueError):
+            convex_hull(points, rays)
+    assert volume(convex_hull([("1/10", 0), (1, 0), (0, 1)])) == Rat(9, 20)
+
+
+def test_polyhedron_requires_facets():
+    with pytest.raises(TypeError):
+        Polyhedron(2, ((Rat(0), Rat(0)),), ())
 
 
 def test_empty_polyhedron():
@@ -223,16 +243,24 @@ def point_sets(draw):
 @example(([(0, 0, 0, 0), (Rat(1, 2), 0, 0, 0), (0, Rat(1, 3), 0, 0),
            (0, 0, Rat(1, 5), 0), (0, 0, 0, Rat(1, 7)), (1, 1, 1, 1)], 4))
 def test_volume_matches_rational_recursion(case):
-    # Both the canonical hull and the raw point list (duplicates, interior
-    # points and all) give the exact Rat of the Fraction-based recursion.
+    # The canonical hull gives the exact Rat of the Fraction-based
+    # recursion.  So does the integer kernel on the raw point list
+    # (duplicates, interior points and all) when it is full-dimensional.
     pts, dim = case
     hull = convex_hull(pts)
-    raw = Polyhedron(dim, tuple(tuple(Rat(x) for x in p) for p in pts), ())
-    for P in (hull, raw):
-        got = volume.__wrapped__(P)
-        assert got == volume_reference.volume(P)
-        assert isinstance(got, Rat)
-        assert affine_dimension(P) == volume_reference.affine_dimension(P)
+    got = volume.__wrapped__(hull)
+    want = volume_reference.volume(hull)
+    assert got == want
+    assert isinstance(got, Rat)
+    assert affine_dimension(hull) == volume_reference.affine_dimension(hull)
+    if affine_dimension(hull) < dim:
+        return
+    raw = [tuple(Rat(x) for x in p) for p in pts]
+    L, scaled = polytope._lattice_scaled(raw)
+    normalized = polytope._normalized_volume(scaled, dim)
+    assert type(normalized) is int
+    assert Rat(normalized, factorial(dim) * L**dim) == want
+    assert volume_reference._volume_full_dim(raw, dim) == want
 
 
 def test_volume_kernel_builds_no_rationals(monkeypatch):
@@ -241,7 +269,7 @@ def test_volume_kernel_builds_no_rationals(monkeypatch):
     rational_simplex = convex_hull(
         [(0, 0, 0), (Rat(1, 2), 0, 0), (0, Rat(2, 3), 0), (0, 0, Rat(3, 4))]
     )
-    lattice_cube = Polyhedron(4, tuple(product((0, 2), repeat=4)), ())
+    lattice_cube = convex_hull(list(product((0, 2), repeat=4)))
     built = []
 
     def recording(*args):
@@ -307,7 +335,7 @@ def _same_body(got, want):
     # equal, and byte-identical down to the type of every coordinate
     assert got == want
     assert repr(got) == repr(want)
-    assert got.facets == dd_convert(want)
+    assert got.facets == want.facets
 
 
 @settings(derandomize=True, max_examples=250, deadline=None)
@@ -344,10 +372,6 @@ def test_minkowski_sum_matches_two_pass_reference(case):
     _same_body(minkowski_sum(P, Q), want)
 
 
-def _bare(P):
-    return Polyhedron(P.dim, P.vertices, P.rays)
-
-
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     generator_pairs(),
@@ -356,8 +380,9 @@ def _bare(P):
 )
 @example(((([(0, 0)], [], 2)), (([(1, 1)], [], 2))), Rat(3, 2), (Rat(1, 3),) * 4)  # segment
 def test_carried_facets_match_dd_convert(case, factor, shift):
-    # Every body a factory builds carries exactly the facets that dd_convert
-    # recomputes from its vertices and rays alone.
+    # Every body a factory builds carries exactly the facets that a DD pass
+    # on its vertices and rays alone finds, lower-dimensional ones included,
+    # and its affine dimension reads off their equation pairs.
     (p1, r1, dim), (p2, r2, _) = case
     P = _hull_or_not_pointed(convex_hull, p1, r1)
     Q = _hull_or_not_pointed(convex_hull, p2, r2)
@@ -365,46 +390,46 @@ def test_carried_facets_match_dd_convert(case, factor, shift):
         return
     S = _hull_or_not_pointed(minkowski_sum, P, Q)
     shift = shift[:dim]
-    assert P.facets is not None and Q.facets is not None
     bodies = [P, Q, P.scale(factor), P.translate(shift), translate(Q.scale(factor), shift)]
     if S is not NotPointed:
-        assert S.facets is not None
         bodies += [S, S.scale(factor).translate(shift)]
     for body in bodies:
-        if body.facets is None:
-            # scale and translate drop the facets of a lower-dimensional body
-            assert affine_dimension(body) < dim
-        else:
-            assert body.facets == dd_convert(_bare(body))
+        assert body.facets == hull_reference.facets(body)
+        assert affine_dimension(body) == volume_reference.affine_dimension(body)
         if body.is_bounded:
             assert volume.__wrapped__(body) == volume_reference.volume(body)
 
 
+def _with_facets(P, facets):
+    return Polyhedron(P.dim, P.vertices, P.rays, facets)
+
+
 def test_carried_facets_stay_out_of_equality_and_hashing(unit_square):
-    bare = _bare(unit_square)
-    assert bare.facets is None and unit_square.facets is not None
-    assert unit_square == bare and hash(unit_square) == hash(bare)
-    assert repr(unit_square) == repr(bare)
-    assert {unit_square: 1}[bare] == 1
-    assert dd_convert(bare) == unit_square.facets
+    other = _with_facets(unit_square, ())
+    assert unit_square == other and hash(unit_square) == hash(other)
+    assert repr(unit_square) == repr(other)
+    assert {unit_square: 1}[other] == 1
+    assert dd_convert(unit_square) is unit_square.facets
+    assert unit_square.facets == hull_reference.facets(unit_square)
     flat = convex_hull([(0, 0, 0), (1, 2, 0), (3, 1, 0)], rays=[(1, 1, 0)])
-    assert flat == _bare(flat) and hash(flat) == hash(_bare(flat))
-    assert dd_convert(_bare(flat)) == flat.facets
+    assert flat == _with_facets(flat, ()) and hash(flat) == hash(_with_facets(flat, ()))
+    assert dd_convert(flat) == hull_reference.facets(flat)
+    assert affine_dimension(flat) == 2
 
 
 def test_carried_facets_spare_dd_passes(monkeypatch):
-    # A flat hull's carried facets hold its equation pair, so its volume is
-    # zero without a rank computation or a DD pass; in d = 3 a scaled body's
-    # volume needs neither, because its mapped facets serve the top level.
-    # dd_convert and contains read the carried facets too.
+    # A flat hull's carried facets hold its equation pair, so its affine
+    # dimension and its zero volume take no DD pass; in d = 3 a scaled
+    # body's volume needs none, because its mapped facets serve the top
+    # level.  dd_convert and contains read the carried facets too.
     flat = convex_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
     simplex = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).scale(2)
 
     def forbidden(*args):
-        raise AssertionError("volume ran a DD pass or a rank computation")
+        raise AssertionError("volume ran a DD pass")
 
     monkeypatch.setattr(polytope, "cone_extreme_rays", forbidden)
-    monkeypatch.setattr(polytope, "_affine_rank", forbidden)
+    assert affine_dimension(flat) == 2 and affine_dimension(simplex) == 3
     assert volume.__wrapped__(flat) == 0
     assert volume.__wrapped__(simplex) == Rat(8, 6)
     assert dd_convert(simplex) is simplex.facets
@@ -440,9 +465,10 @@ def clip_cases(draw):
 @example(([(0, 0)], [(1, 0), (0, 1)], 2, [((0, 1), "random", 1)] * 2))  # a half-strip
 @example(([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [(1, 1, 0)], 3, [((1, 1, 1), "random", 3)] * 2))
 def test_clip_results_carry_dd_convert_facets(case):
-    # Every clip result, of a hull or of an earlier clip, either carries the
-    # facets that dd_convert recomputes from its vertices and rays alone, or
-    # carries none because it is empty or lower-dimensional.
+    # Every clip result, of a hull or of an earlier clip, carries the facets
+    # that a DD pass on its vertices and rays alone finds, lower-dimensional
+    # ones ("face" cuts) included, or none because it is empty; its affine
+    # dimension reads off their equation pairs.
     pts, rays, dim, cuts = case
     body = _hull_or_not_pointed(convex_hull, pts, rays)
     if body is NotPointed:
@@ -453,20 +479,18 @@ def test_clip_results_carry_dd_convert_facets(case):
         low = min(linalg.dot(normal, v) for v in body.vertices)
         bound = {"random": bound, "face": low, "below": low - 1}[kind]
         body = clip(body, Halfspace.make(normal, bound))
+        assert affine_dimension(body) == volume_reference.affine_dimension(body)
         if body.is_empty:
-            assert body.facets is None
-        elif body.facets is None:
-            assert affine_dimension(body) < dim
+            assert body.facets == ()
         else:
-            assert affine_dimension(body) == dim
-            assert body.facets == dd_convert(_bare(body))
+            assert body.facets == hull_reference.facets(body)
         if body.is_bounded:
             assert volume.__wrapped__(body) == volume_reference.volume(body)
 
 
 def test_clipped_bodies_spare_dd_passes(monkeypatch):
-    # A clipped d = 3 body carries its facets: its volume runs no DD pass
-    # and no rank computation, and clipping it again runs exactly one.
+    # A clipped d = 3 body carries its facets: its volume runs no DD pass,
+    # and clipping it again runs exactly one.
     cube = convex_hull(list(product((0, 2), repeat=3)))
     cut = clip(cube, Halfspace.make((1, 1, 1), 3))
     assert cut.facets is not None
@@ -477,11 +501,7 @@ def test_clipped_bodies_spare_dd_passes(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    def forbidden(*args):
-        raise AssertionError("volume ran a rank computation")
-
     monkeypatch.setattr(polytope, "cone_extreme_rays", counted)
-    monkeypatch.setattr(polytope, "_affine_rank", forbidden)
     assert volume.__wrapped__(cut) == 4
     assert calls == []
     again = clip(cut, Halfspace.make((1, 0, 0), 1))
