@@ -243,6 +243,26 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, exc):
     assert err == f"coconvex: internal error: {type(exc).__name__}: {exc}\n"
 
 
+def test_violated_property_exits_1(tmp_path, capsys, monkeypatch):
+    # lift-verify exits 1 when its payload's status is "fail", suite when a
+    # trial fails; either way the full report still reaches stdout
+    from coconvex import harness
+
+    fam = tmp_path / "cfam.json"
+    assert run_cli(capsys, "gen", "coconvex-family", "--seed", "6", "--out", str(fam))[0] == 0
+    real = cli.verify_identity_V
+    monkeypatch.setattr(cli, "verify_identity_V", lambda *a: {**real(*a), "status": "fail"})
+    code, out, err = run_cli(capsys, "lift-verify", str(fam))
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "fail" and payload["reports"]["V"]["status"] == "fail"
+    monkeypatch.setattr(harness, "reversed_cs_check", lambda *a: False)
+    code, out, err = run_cli(
+        capsys, "suite", "--trials", "1", "--suite", "af", "--format", "csv"
+    )
+    assert code == 1 and out == "suite,pass,fail\naf,0,1\n" and err == ""
+
+
 def test_out_writes_identical_bytes(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, _ = run_cli(
