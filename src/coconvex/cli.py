@@ -6,6 +6,9 @@ ArithmeticError or AssertionError: an exact computation that could not
 finish, or a broken internal invariant).  All structured output goes through
 the same deterministic JSON writer the library uses, so identical
 invocations produce identical bytes.
+
+`COMMANDS` is the one table of subcommands: it builds the parser, and
+`main` dispatches to the row's handler and writes what it returns.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 from .cones import co_volume
 from .errors import CoconvexError
 from .forms import (
+    CoconvexFamily,
     af_form,
     co_af_form,
     co_volume_polynomial,
@@ -45,6 +49,7 @@ from .jsonio import (
     convex_family_to_json,
     dump_json,
     form_from_json,
+    form_to_json,
     polyhedron_from_json,
     polyhedron_to_json,
     polynomial_to_json,
@@ -62,102 +67,70 @@ from .lift import (
 from .polynomial import signature
 from .polytope import volume
 
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Handlers here and in COMMANDS name library functions inside their bodies,
+# so the functions are looked up at call time and a test or tracer that
+# rebinds a module attribute reaches them.  Each handler takes the parsed
+# arguments and returns (output, exit code); output is text, or a JSON
+# value that `main` renders with `dump_json`.
 
 
-def _family_from_file(path):
-    obj = read_json_file(path)
-    if "cone" in obj:
-        return coconvex_family_from_json(obj), True
-    return convex_family_from_json(obj), False
+def _family(obj, coconvex=None, wrong_kind=""):
+    """The family in `obj`, coconvex when it names a cone.  With `coconvex`
+    set, a family of the other kind raises `wrong_kind` once it has loaded."""
+    fam = coconvex_family_from_json(obj) if "cone" in obj else convex_family_from_json(obj)
+    if coconvex is not None and isinstance(fam, CoconvexFamily) != coconvex:
+        raise CoconvexError(wrong_kind)
+    return fam
 
 
-def _cmd_gen(args) -> int:
+# `gen` kinds, in the order `--help` lists them.
+_GEN = {
+    "body": lambda rng, a: polyhedron_to_json(gen_convex_body(rng, a.dim, a.bound)),
+    "cone": lambda rng, a: cone_to_json(gen_cone(rng, a.dim, a.bound)),
+    "coconvex-body": lambda rng, a: coconvex_to_json(
+        gen_coconvex_body(rng, gen_cone(rng, a.dim, a.bound), a.bound)
+    ),
+    "convex-family": lambda rng, a: convex_family_to_json(
+        gen_convex_family(rng, a.dim, a.n, a.bound)
+    ),
+    "coconvex-family": lambda rng, a: coconvex_family_to_json(
+        gen_coconvex_family(rng, a.dim, a.n, a.bound)
+    ),
+}
+
+
+def _gen(args):
     rng = SplitMix64(args.seed).derive(f"gen:{args.kind}")
-    d, n, bound = args.dim, args.n, args.bound
-    if args.kind == "body":
-        payload = polyhedron_to_json(gen_convex_body(rng, d, bound))
-    elif args.kind == "cone":
-        payload = cone_to_json(gen_cone(rng, d, bound))
-    elif args.kind == "coconvex-body":
-        cone = gen_cone(rng, d, bound)
-        payload = coconvex_to_json(gen_coconvex_body(rng, cone, bound))
-    elif args.kind == "convex-family":
-        payload = convex_family_to_json(gen_convex_family(rng, d, n, bound))
-    else:
-        payload = coconvex_family_to_json(gen_coconvex_family(rng, d, n, bound))
-    _emit(dump_json(payload), args.out)
-    return 0
+    return _GEN[args.kind](rng, args), 0
 
 
-def _cmd_volume(args) -> int:
+def _volume(args):
     obj = read_json_file(args.file)
-    if "cone" in obj:
-        val = co_volume(coconvex_from_json(obj))
+    val = co_volume(coconvex_from_json(obj)) if "cone" in obj else volume(polyhedron_from_json(obj))
+    return {"volume": rational_to_json(val)}, 0
+
+
+def _volpoly(args):
+    fam = _family(read_json_file(args.file))
+    poly = co_volume_polynomial(fam) if isinstance(fam, CoconvexFamily) else volume_polynomial(fam)
+    return polynomial_to_json(poly), 0
+
+
+def _forms(args):
+    """`afform` and `co-afform`: the bilinear and quadratic forms of a family."""
+    if args.command == "afform":
+        B, Q = af_form(_family(read_json_file(args.file), False,
+                               "afform expects a convex family; use co-afform"))
     else:
-        val = volume(polyhedron_from_json(obj))
-    _emit(dump_json({"volume": rational_to_json(val)}), args.out)
-    return 0
+        B, Q = co_af_form(_family(read_json_file(args.file), True,
+                                  "co-afform expects a coconvex family; use afform"))
+    payload = {"bilinear": form_to_json(B), "quadratic": form_to_json(Q),
+               "signature": signature_to_json(signature(Q))}
+    return payload, 0
 
 
-def _cmd_mixedvol(args) -> int:
-    bodies = [polyhedron_from_json(read_json_file(p)) for p in args.files]
-    val = mixed_volume(bodies)
-    _emit(dump_json({"mixed_volume": rational_to_json(val)}), args.out)
-    return 0
-
-
-def _cmd_volpoly(args) -> int:
-    fam, is_coconvex = _family_from_file(args.file)
-    poly = co_volume_polynomial(fam) if is_coconvex else volume_polynomial(fam)
-    _emit(dump_json(polynomial_to_json(poly)), args.out)
-    return 0
-
-
-def _forms_payload(B, Q):
-    from .jsonio import form_to_json
-
-    return {
-        "bilinear": form_to_json(B),
-        "quadratic": form_to_json(Q),
-        "signature": signature_to_json(signature(Q)),
-    }
-
-
-def _cmd_afform(args) -> int:
-    fam, is_coconvex = _family_from_file(args.file)
-    if is_coconvex:
-        raise CoconvexError("afform expects a convex family; use co-afform")
-    B, Q = af_form(fam)
-    _emit(dump_json(_forms_payload(B, Q)), args.out)
-    return 0
-
-
-def _cmd_co_afform(args) -> int:
-    fam, is_coconvex = _family_from_file(args.file)
-    if not is_coconvex:
-        raise CoconvexError("co-afform expects a coconvex family; use afform")
-    B, Q = co_af_form(fam)
-    _emit(dump_json(_forms_payload(B, Q)), args.out)
-    return 0
-
-
-def _cmd_signature(args) -> int:
-    matrix = form_from_json(read_json_file(args.file))
-    _emit(dump_json(signature_to_json(signature(matrix))), args.out)
-    return 0
-
-
-def _cmd_lift_verify(args) -> int:
-    fam, is_coconvex = _family_from_file(args.file)
-    if not is_coconvex:
-        raise CoconvexError("lift-verify expects a coconvex family")
+def _lift_verify(args):
+    fam = _family(read_json_file(args.file), True, "lift-verify expects a coconvex family")
     lf = lift(fam)
     base = co_volume_polynomial(fam)
     poly = lifted_volume_polynomial(lf)
@@ -167,15 +140,7 @@ def _cmd_lift_verify(args) -> int:
         "signature": verify_signature_argument(lf, poly, base),
     }
     ok = all(r["status"] == "ok" for r in reports.values())
-    _emit(dump_json({"reports": reports, "status": "ok" if ok else "fail"}), args.out)
-    return 0 if ok else 1
-
-
-def _suite_csv(report) -> str:
-    lines = ["suite,pass,fail"]
-    for name, r in report.results.items():
-        lines.append(f"{name},{r['pass']},{r['fail']}")
-    return "\n".join(lines) + "\n"
+    return {"reports": reports, "status": "ok" if ok else "fail"}, 0 if ok else 1
 
 
 # `suite` flags that override an ExperimentConfig field: (flag, field).
@@ -188,25 +153,59 @@ _SUITE_FLAGS = (
 )
 
 
-def _cmd_suite(args) -> int:
-    if args.config:
-        cfg = config_from_json(read_json_file(args.config))
-    else:
-        cfg = ExperimentConfig()
-    overrides = {}
-    for flag, field in _SUITE_FLAGS:
-        if getattr(args, flag) is not None:
-            overrides[field] = getattr(args, flag)
+def _suite(args):
+    cfg = config_from_json(read_json_file(args.config)) if args.config else ExperimentConfig()
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in _SUITE_FLAGS
+        if getattr(args, flag) is not None
+    }
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
         overrides["suite"] = tuple(ALL_SUITES) if names == ["all"] else tuple(names)
-    cfg = dataclasses.replace(cfg, **overrides)
-    report = run_suite(cfg)
+    report = run_suite(dataclasses.replace(cfg, **overrides))
     if args.format == "csv":
-        _emit(_suite_csv(report), args.out)
+        output = "suite,pass,fail\n" + "".join(
+            f"{name},{r['pass']},{r['fail']}\n" for name, r in report.results.items()
+        )
     else:
-        _emit(dump_json(report.to_json()), args.out)
-    return 0 if report.all_passed() else 1
+        output = report.to_json()
+    return output, 0 if report.all_passed() else 1
+
+
+_FILE = (("file", {}),)
+
+# (name, help, arguments as (flag, add_argument options), handler), in
+# `--help` order.  Every subcommand also takes `--out`, after its arguments.
+COMMANDS = (
+    ("gen", "generate a seeded random object as JSON", (
+        ("kind", {"choices": list(_GEN)}),
+        ("--dim", {"type": int, "default": 2}),
+        ("--n", {"type": int, "default": 2, "help": "number of family generators"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--bound", {"type": int, "default": 4, "help": "coordinate bound"}),
+    ), _gen),
+    ("volume", "volume of a polytope or coconvex body", _FILE, _volume),
+    ("mixedvol", "mixed volume of d polytopes", (("files", {"nargs": "+"}),),
+     lambda a: ({"mixed_volume": rational_to_json(mixed_volume(
+         [polyhedron_from_json(read_json_file(p)) for p in a.files]))}, 0)),
+    ("volpoly", "volume polynomial of a family", _FILE, _volpoly),
+    ("afform", "quadratic forms of a convex family", _FILE, _forms),
+    ("co-afform", "quadratic forms of a coconvex family", _FILE, _forms),
+    ("signature", "inertia of a symmetric rational matrix", _FILE,
+     lambda a: (signature_to_json(signature(form_from_json(read_json_file(a.file)))), 0)),
+    ("lift-verify", "check the lifting identities of a family", _FILE, _lift_verify),
+    ("suite", "run seeded property suites", (
+        ("--config", {"help": "JSON file with an experiment config"}),
+        ("--dim", {"type": int}),
+        ("--n", {"type": int, "help": "number of family generators"}),
+        ("--trials", {"type": int}),
+        ("--seed", {"type": int}),
+        ("--bound", {"type": int}),
+        ("--suite", {"help": "comma-separated suite names, or 'all'"}),
+        ("--format", {"choices": ["json", "csv"], "default": "json"}),
+    ), _suite),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,77 +218,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_out(p):
+    for name, help_text, arguments, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--out", help="write output to this file instead of stdout")
-
-    p = sub.add_parser("gen", help="generate a seeded random object as JSON")
-    p.add_argument(
-        "kind",
-        choices=["body", "cone", "coconvex-body", "convex-family", "coconvex-family"],
-    )
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--n", type=int, default=2, help="number of family generators")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=4, help="coordinate bound")
-    add_out(p)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("volume", help="volume of a polytope or coconvex body")
-    p.add_argument("file")
-    add_out(p)
-    p.set_defaults(func=_cmd_volume)
-
-    p = sub.add_parser("mixedvol", help="mixed volume of d polytopes")
-    p.add_argument("files", nargs="+")
-    add_out(p)
-    p.set_defaults(func=_cmd_mixedvol)
-
-    p = sub.add_parser("volpoly", help="volume polynomial of a family")
-    p.add_argument("file")
-    add_out(p)
-    p.set_defaults(func=_cmd_volpoly)
-
-    p = sub.add_parser("afform", help="quadratic forms of a convex family")
-    p.add_argument("file")
-    add_out(p)
-    p.set_defaults(func=_cmd_afform)
-
-    p = sub.add_parser("co-afform", help="quadratic forms of a coconvex family")
-    p.add_argument("file")
-    add_out(p)
-    p.set_defaults(func=_cmd_co_afform)
-
-    p = sub.add_parser("signature", help="inertia of a symmetric rational matrix")
-    p.add_argument("file")
-    add_out(p)
-    p.set_defaults(func=_cmd_signature)
-
-    p = sub.add_parser("lift-verify", help="check the lifting identities of a family")
-    p.add_argument("file")
-    add_out(p)
-    p.set_defaults(func=_cmd_lift_verify)
-
-    p = sub.add_parser("suite", help="run seeded property suites")
-    p.add_argument("--config", help="JSON file with an experiment config")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n", type=int, help="number of family generators")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--suite", help="comma-separated suite names, or 'all'")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    add_out(p)
-    p.set_defaults(func=_cmd_suite)
-
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        output, code = args.handler(args)
+        text = output if isinstance(output, str) else dump_json(output)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OSError) as exc:
         # ValueError covers the library's own errors plus JSON and number
         # parsing; anything here is a bad-input problem, not a crash.

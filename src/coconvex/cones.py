@@ -37,7 +37,7 @@ from .polytope import (
     minkowski_sum,
     volume,
 )
-from .rational import Rat, ZERO
+from .rational import Rat, ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def _check_truncation(body: CoconvexBody, trunc: Truncation) -> None:
         raise DimensionMismatch("truncation functional of wrong length")
     if any(dot(trunc.xi, r) <= 0 for r in body.cone.rays):
         raise InvalidTruncation("functional is not positive on every cone ray")
-    if Rat(trunc.t) <= truncation_threshold(body.complement, trunc.xi):
+    if rat(trunc.t) <= truncation_threshold(body.complement, trunc.xi):
         raise InvalidTruncation("cutoff does not clear the complement's vertices")
 
 

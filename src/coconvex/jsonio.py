@@ -196,8 +196,3 @@ def read_json_file(path: str) -> dict:
     if not isinstance(obj, dict):
         raise CoconvexError(f"{path}: expected a JSON object at the top level")
     return obj
-
-
-def write_json_file(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(obj))

@@ -43,7 +43,7 @@ from .polytope import (
     minkowski_sum,
     volume,
 )
-from .rational import Rat, rat_str
+from .rational import Rat, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class LiftedFamily:
 
 def lift(fam: CoconvexFamily, xi=None) -> LiftedFamily:
     """Build the lifted family: cutoff functional, window, marked levels."""
-    xi = tuple(xi) if xi is not None else fam.cone.xi
+    xi = tuple(map(rat, xi)) if xi is not None else fam.cone.xi
     if len(xi) != fam.dim:
         raise DimensionMismatch("cutoff functional of wrong length")
     if any(dot(xi, r) <= 0 for r in fam.cone.rays):
@@ -84,7 +84,7 @@ def sector_constant(lf: LiftedFamily):
 def _positive_coefficients(lf: LiftedFamily, lam):
     lam = tuple(Rat(x) for x in lam)
     if len(lam) != len(lf.base.generators):
-        raise CoconvexError("coefficient vector length differs from generator count")
+        raise DimensionMismatch("coefficient vector length differs from generator count")
     if any(x <= 0 for x in lam):
         raise CoconvexError("lifted bodies need strictly positive coefficients")
     return lam

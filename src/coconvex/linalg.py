@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul
 
-from .rational import Rat, ZERO
+from .rational import Rat, ZERO, rat
 
 
 def dot(u, v):
@@ -24,10 +24,11 @@ def over_common_denominator(vec) -> tuple[list[int], int]:
     """(numerators, D) with vec[i] = numerators[i] / D, where D is the lcm
     of the entries' denominators.
 
-    Rat entries are read through their numerator and denominator; any
-    other entry is coerced through Rat.
+    int and Rat entries are read through their numerator and denominator;
+    any other entry is coerced through `rational.rat`, which refuses floats
+    and bools.
     """
-    fracs = [x if isinstance(x, Rat) else Rat(x) for x in vec]
+    fracs = [x if type(x) is int or isinstance(x, Rat) else rat(x) for x in vec]
     den = lcm(*(int(q.denominator) for q in fracs))
     return [int(q.numerator) * (den // int(q.denominator)) for q in fracs], den
 

@@ -173,7 +173,7 @@ class Polyhedron:
         return not self.rays
 
     def translate(self, vec) -> "Polyhedron":
-        vec = tuple(Rat(x) for x in vec)
+        vec = tuple(rat(x) for x in vec)
         if len(vec) != self.dim:
             raise DimensionMismatch("translation vector has wrong length")
         verts = tuple(vadd(v, vec) for v in self.vertices)
@@ -181,7 +181,7 @@ class Polyhedron:
         return _moved(self, verts, lambda h: h.bound + dot(h.normal, vec))
 
     def scale(self, factor) -> "Polyhedron":
-        factor = Rat(factor)
+        factor = rat(factor)
         if factor <= 0:
             raise CoconvexError("scale factor must be positive")
         verts = tuple(tuple(factor * x for x in v) for v in self.vertices)
@@ -263,7 +263,7 @@ def convex_hull(points, rays=()) -> Polyhedron:
     for r in rays:
         if len(r) != dim:
             raise DimensionMismatch("ray of wrong length")
-        p = primitive_integer([rat(x) for x in r])
+        p = primitive_integer(r)
         if all(c == 0 for c in p):
             raise CoconvexError("zero vector is not a ray")
         rs.append(p)

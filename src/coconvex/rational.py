@@ -46,14 +46,6 @@ def rat_str(x) -> str:
     return str(Rat(x))
 
 
-def as_integer(x) -> int:
-    """Exact int value; raises if x has a nontrivial denominator."""
-    q = Rat(x)
-    if q.denominator != 1:
-        raise ValueError(f"not an integer: {q}")
-    return int(q.numerator)
-
-
 def integer_root_floor(m: int, d: int) -> int:
     """floor(m ** (1/d)) for integers m >= 0, d >= 1, computed exactly."""
     if m < 0 or d < 1:

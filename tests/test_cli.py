@@ -6,7 +6,7 @@ import pytest
 
 from coconvex import cli
 from coconvex.cli import main
-from coconvex.jsonio import write_json_file
+from coconvex.jsonio import dump_json
 
 
 def run_cli(capsys, *argv):
@@ -61,7 +61,7 @@ def test_volpoly_afform_signature(tmp_path, capsys):
     payload = json.loads(out)
     assert set(payload) == {"bilinear", "quadratic", "signature"}
     form = tmp_path / "form.json"
-    write_json_file(str(form), payload["quadratic"])
+    form.write_text(dump_json(payload["quadratic"]), encoding="utf-8")
     code, out, _ = run_cli(capsys, "signature", str(form))
     assert code == 0
     assert json.loads(out) == payload["signature"]

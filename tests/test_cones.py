@@ -27,7 +27,9 @@ from coconvex.errors import (
     NotFullDimensional,
     NotStrictlyConvex,
 )
-from coconvex.polytope import convex_hull, volume
+from coconvex.forms import make_coconvex_family
+from coconvex.lift import lift
+from coconvex.polytope import Halfspace, convex_hull, volume
 from coconvex.rational import Rat
 
 
@@ -92,6 +94,36 @@ def test_truncation_validation(corner_triangle):
         co_volume(corner_triangle, Truncation((1, -1), 5))  # negative on a ray
     with pytest.raises(DimensionMismatch):
         co_volume(corner_triangle, Truncation((1, 1, 1), 5))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda square, body: square.translate((0.1, 0)),
+        lambda square, body: square.scale(0.1),
+        lambda square, body: square.scale(True),
+        lambda square, body: Halfspace.make((0.1, 1), 1),
+        lambda square, body: make_cone([(0.5, 1), (1, 0)]),
+        lambda square, body: make_cone([(True, 1), (1, 0)]),
+        lambda square, body: lift(make_coconvex_family([body]), xi=(0.5, 1)),
+        lambda square, body: co_volume(body, Truncation((1, 1), 2.5)),
+    ],
+    ids=[
+        "translate_float",
+        "scale_float",
+        "scale_bool",
+        "halfspace_float",
+        "cone_float_ray",
+        "cone_bool_ray",
+        "lift_float_xi",
+        "truncation_float_t",
+    ],
+)
+def test_constructors_refuse_floats_and_bools(unit_square, corner_triangle, build):
+    # 0.1 would enter as its binary expansion, (0.5, 1) would become the ray
+    # (1, 2), and True would be read as 1
+    with pytest.raises(ValueError):
+        build(unit_square, corner_triangle)
 
 
 def test_corner_simplex_volume(corner_simplex):

@@ -24,7 +24,6 @@ from coconvex.jsonio import (
     rational_to_json,
     read_json_file,
     signature_to_json,
-    write_json_file,
 )
 from coconvex.polynomial import HomogeneousPolynomial, Signature
 from coconvex.polytope import Polyhedron, convex_hull
@@ -120,7 +119,7 @@ def test_dump_json_is_deterministic():
 
 def test_file_round_trip(tmp_path, quadrant):
     path = tmp_path / "cone.json"
-    write_json_file(str(path), cone_to_json(quadrant))
+    path.write_text(dump_json(cone_to_json(quadrant)), encoding="utf-8")
     assert cone_from_json(read_json_file(str(path))) == quadrant
 
 

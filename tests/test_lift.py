@@ -92,6 +92,15 @@ def test_lifted_body_checks_cutoff(triangle_lift):
         lifted_body(triangle_lift, (0,), 3)
 
 
+def test_lift_rejects_coefficients_of_wrong_length(pair_lift):
+    # the same message and error type as the forms raise for a wrong-length lam
+    for lam in [(1,), (1, 1, 1)]:
+        with pytest.raises(DimensionMismatch):
+            lifted_body(pair_lift, lam, 3)
+        with pytest.raises(DimensionMismatch):
+            combination_threshold(pair_lift, lam)
+
+
 def test_combination_threshold_scales(pair_lift):
     assert combination_threshold(pair_lift, (1, 1)) == 3
     assert combination_threshold(pair_lift, (2, 1)) == 4

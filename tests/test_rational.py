@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from coconvex.rational import (
     Rat,
-    as_integer,
     compare_root_sum,
     exact_root,
     integer_root_floor,
@@ -40,12 +39,6 @@ def test_rat_str_is_canonical():
 def test_rat_str_round_trips(p, q):
     x = Rat(p, q)
     assert rat(rat_str(x)) == x
-
-
-def test_as_integer():
-    assert as_integer(Rat(6, 3)) == 2
-    with pytest.raises(ValueError):
-        as_integer(Rat(1, 2))
 
 
 @given(st.integers(0, 10**12), st.integers(1, 6))
