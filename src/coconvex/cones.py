@@ -139,12 +139,19 @@ def synthesize_truncation(body: "CoconvexBody", xi=None) -> Truncation:
     return Truncation(xi, truncation_threshold(body.complement, xi) + 1)
 
 
-def _check_truncation(body: CoconvexBody, trunc: Truncation) -> None:
-    if len(trunc.xi) != body.cone.dim:
-        raise DimensionMismatch("truncation functional of wrong length")
-    if any(dot(trunc.xi, r) <= 0 for r in body.cone.rays):
+def _check_functional(cone: Cone, xi) -> None:
+    """xi has the cone's length and is positive on every cone ray, so each
+    cut {xi <= t} of the cone is bounded."""
+    if len(xi) != cone.dim:
+        raise DimensionMismatch("cutoff functional of wrong length")
+    if any(dot(xi, r) <= 0 for r in cone.rays):
         raise InvalidTruncation("functional is not positive on every cone ray")
-    if rat(trunc.t) <= truncation_threshold(body.complement, trunc.xi):
+
+
+def _check_cutoff(complement: Polyhedron, xi, t) -> None:
+    """t clears the complement's vertices, so the cut keeps the whole
+    carved-out region."""
+    if t <= truncation_threshold(complement, xi):
         raise InvalidTruncation("cutoff does not clear the complement's vertices")
 
 
@@ -185,7 +192,8 @@ def co_volume(body: CoconvexBody, trunc: Truncation | None = None):
     if trunc is None:
         trunc = synthesize_truncation(body)
     else:
-        _check_truncation(body, trunc)
+        _check_functional(body.cone, trunc.xi)
+        _check_cutoff(body.complement, trunc.xi, rat(trunc.t))
     return _region_volume(body.cone, body.complement, trunc)
 
 

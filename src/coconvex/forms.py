@@ -42,7 +42,7 @@ from .polynomial import (
     multinomial,
 )
 from .polytope import Polyhedron, affine_dimension, minkowski_sum, volume
-from .rational import Rat, ZERO
+from .rational import Rat, ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def _checked_marked(marked, n: int, d: int):
         raise DimensionMismatch("families need ambient dimension at least 2")
     if marked is None:
         marked = [(1,) * n] * (d - 2)
-    marked = tuple(tuple(Rat(x) for x in v) for v in marked)
+    marked = tuple(tuple(rat(x) for x in v) for v in marked)
     if len(marked) != d - 2:
         raise DimensionMismatch(f"need exactly {d - 2} marked vectors, got {len(marked)}")
     for v in marked:
@@ -162,15 +162,20 @@ def mixed_volume(bodies):
     return total / factorial(d)
 
 
+def _combination(bodies, lam) -> Polyhedron:
+    """Minkowski sum of the lam-scaled bodies, zero coefficients skipped.
+    Trusted: callers have checked lam against their own coefficient rule."""
+    return reduce(minkowski_sum, [P.scale(x) for P, x in zip(bodies, lam) if x != 0])
+
+
 def combination_body(fam: ConvexFamily, lam) -> Polyhedron:
     """Minkowski combination with nonnegative coefficients (zeros skip)."""
-    lam = [Rat(x) for x in lam]
+    lam = [rat(x) for x in lam]
     if len(lam) != len(fam.generators):
         raise DimensionMismatch("coefficient vector length differs from generator count")
     if any(x < 0 for x in lam) or all(x == 0 for x in lam):
         raise CoconvexError("coefficients must be nonnegative with at least one positive")
-    parts = [gen.scale(x) for gen, x in zip(fam.generators, lam) if x != 0]
-    return reduce(minkowski_sum, parts)
+    return _combination(fam.generators, lam)
 
 
 def volume_polynomial(fam: ConvexFamily) -> HomogeneousPolynomial:
@@ -202,13 +207,12 @@ def co_combination_body(fam: CoconvexFamily, lam) -> CoconvexBody:
     """Coconvex combination with strictly positive coefficients.  Only lam is
     checked: the generators were validated by make_coconvex when built, and
     such a combination over one cone is coconvex."""
-    lam = [Rat(x) for x in lam]
+    lam = [rat(x) for x in lam]
     if len(lam) != len(fam.generators):
         raise DimensionMismatch("coefficient vector length differs from generator count")
     if any(x <= 0 for x in lam):
         raise CoconvexError("coconvex combinations need strictly positive coefficients")
-    parts = [gen.complement.scale(x) for gen, x in zip(fam.generators, lam)]
-    return CoconvexBody(fam.cone, reduce(minkowski_sum, parts))
+    return CoconvexBody(fam.cone, _combination([g.complement for g in fam.generators], lam))
 
 
 def co_volume_polynomial(fam: CoconvexFamily) -> HomogeneousPolynomial:

@@ -77,6 +77,9 @@ def polyhedron_from_json(obj: dict) -> Polyhedron:
     dim = _int_field(obj, "dim", "polyhedron")
     if dim < 1:
         raise DimensionMismatch("polyhedron field 'dim' must be at least 1")
+    unknown = sorted(set(obj) - {"dim", "vertices", "rays"})
+    if unknown:
+        raise CoconvexError(f"unknown polyhedron field(s): {', '.join(map(repr, unknown))}")
     vertices = [vector_from_json(v) for v in _list_field(obj, "vertices", "polyhedron", [])]
     rays = [vector_from_json(r) for r in _list_field(obj, "rays", "polyhedron", [])]
     if any(len(v) != dim for v in vertices):

@@ -21,12 +21,10 @@ nonnegativity of the base form is checked last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .cones import cone_polyhedron, truncation_threshold
-from .errors import CoconvexError, DimensionMismatch, InvalidTruncation
-from .forms import CoconvexFamily, polynomial_af_forms
-from .linalg import dot
+from .cones import _check_cutoff, _check_functional, cone_polyhedron, truncation_threshold
+from .errors import CoconvexError
+from .forms import CoconvexFamily, co_combination_body, polynomial_af_forms
 from .polynomial import (
     HomogeneousPolynomial,
     Signature,
@@ -34,15 +32,7 @@ from .polynomial import (
     signature,
     tensor_grid,
 )
-from .polytope import (
-    Halfspace,
-    Polyhedron,
-    clip,
-    dd_convert,
-    dd_convert_back,
-    minkowski_sum,
-    volume,
-)
+from .polytope import Halfspace, Polyhedron, clip, dd_convert, dd_convert_back, volume
 from .rational import Rat, rat, rat_str
 
 
@@ -51,29 +41,24 @@ class LiftedFamily:
     """Coconvex base plus the cutoff data that makes lifted bodies convex.
 
     t0 dominates the complement thresholds of every generator; marked levels
-    sit strictly between t0 and t1.  Combinations with large coefficients
-    push their own thresholds past t0, so sample validity is re-checked per
-    (lam, t) rather than assumed from the window.
+    sit at t0 + 1.  Combinations with large coefficients push their own
+    thresholds past t0, so each (lam, t) is checked against its own
+    combination rather than against t0.
     """
 
     base: CoconvexFamily
     xi: tuple[int, ...]
     t0: object
-    t1: object
     lifted_marked: tuple
 
 
 def lift(fam: CoconvexFamily, xi=None) -> LiftedFamily:
-    """Build the lifted family: cutoff functional, window, marked levels."""
+    """Build the lifted family: cutoff functional, threshold, marked levels."""
     xi = tuple(map(rat, xi)) if xi is not None else fam.cone.xi
-    if len(xi) != fam.dim:
-        raise DimensionMismatch("cutoff functional of wrong length")
-    if any(dot(xi, r) <= 0 for r in fam.cone.rays):
-        raise InvalidTruncation("functional is not positive on every cone ray")
+    _check_functional(fam.cone, xi)
     t0 = max(truncation_threshold(g.complement, xi) for g in fam.generators)
-    t1 = t0 + 2
     s = t0 + 1
-    return LiftedFamily(fam, xi, t0, t1, tuple((v, s) for v in fam.marked))
+    return LiftedFamily(fam, xi, t0, tuple((v, s) for v in fam.marked))
 
 
 def sector_constant(lf: LiftedFamily):
@@ -81,38 +66,16 @@ def sector_constant(lf: LiftedFamily):
     return volume(clip(cone_polyhedron(lf.base.cone), Halfspace.make(lf.xi, 1)))
 
 
-def _positive_coefficients(lf: LiftedFamily, lam):
-    lam = tuple(Rat(x) for x in lam)
-    if len(lam) != len(lf.base.generators):
-        raise DimensionMismatch("coefficient vector length differs from generator count")
-    if any(x <= 0 for x in lam):
-        raise CoconvexError("lifted bodies need strictly positive coefficients")
-    return lam
-
-
-def _combination_complement(lf: LiftedFamily, lam) -> Polyhedron:
-    parts = [g.complement.scale(x) for g, x in zip(lf.base.generators, lam)]
-    return reduce(minkowski_sum, parts)
-
-
-def combination_threshold(lf: LiftedFamily, lam):
-    """Largest xi-value over the combination complement's vertices; any
-    strictly larger cutoff is valid for this lam."""
-    lam = _positive_coefficients(lf, lam)
-    return truncation_threshold(_combination_complement(lf, lam), lf.xi)
-
-
 def _cut_complement(lf: LiftedFamily, K: Polyhedron, t) -> Polyhedron:
     """Combination complement K cut at level t, once t clears its vertices."""
-    if t <= truncation_threshold(K, lf.xi):
-        raise InvalidTruncation("cutoff does not clear the combination's vertices")
+    _check_cutoff(K, lf.xi, t)
     return clip(K, Halfspace.make(lf.xi, t))
 
 
 def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
     """The convex body at (lam, t): combination complement cut at level t."""
-    lam = _positive_coefficients(lf, lam)
-    return _cut_complement(lf, _combination_complement(lf, lam), Rat(t))
+    t = rat(t)
+    return _cut_complement(lf, co_combination_body(lf.base, lam).complement, t)
 
 
 def lifted_body_materialized(lf: LiftedFamily, lam, t) -> Polyhedron:
@@ -122,11 +85,9 @@ def lifted_body_materialized(lf: LiftedFamily, lam, t) -> Polyhedron:
     complement and converts back to vertices.  Agreement with lifted_body
     doubles as a convexity certificate for the region the cut leaves behind.
     """
-    lam = _positive_coefficients(lf, lam)
-    t = Rat(t)
-    K = _combination_complement(lf, lam)
-    if t <= truncation_threshold(K, lf.xi):
-        raise InvalidTruncation("cutoff does not clear the combination's vertices")
+    t = rat(t)
+    K = co_combination_body(lf.base, lam).complement
+    _check_cutoff(K, lf.xi, t)
     sector = clip(cone_polyhedron(lf.base.cone), Halfspace.make(lf.xi, t))
     halfspaces = sorted(set(dd_convert(sector)) | set(dd_convert(K)),
                         key=lambda h: (h.normal, h.bound))
@@ -150,7 +111,7 @@ def lifted_volume_polynomial(lf: LiftedFamily) -> HomogeneousPolynomial:
     def value(point):
         lam, t = point[:n], point[n]
         if lam not in complements:
-            complements[lam] = _combination_complement(lf, [Rat(x) for x in lam])
+            complements[lam] = co_combination_body(lf.base, lam).complement
         return volume(clip(complements[lam], Halfspace.make(lf.xi, t)))
 
     return fit_homogeneous(n + 1, d, tensor_grid(axes), value)
@@ -196,15 +157,10 @@ def _default_samples(lf: LiftedFamily, count: int):
         if j:
             lam[(j - 1) % n] += 1 + (j - 1) // n
         lam = tuple(lam)
-        K = _combination_complement(lf, lam)
+        K = co_combination_body(lf.base, lam).complement
         t = truncation_threshold(K, lf.xi) + 1 + (j % 2)
         out.append((lam, t, K))
     return out
-
-
-def default_lift_samples(lf: LiftedFamily, count: int = 5):
-    """Deterministic (lam, t) samples, each valid for its own combination."""
-    return [(lam, t) for lam, t, _ in _default_samples(lf, count)]
 
 
 def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
@@ -223,10 +179,9 @@ def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     checked = 0
     counterexample = None
     for lam, t, K in cases:
-        lam = _positive_coefficients(lf, lam)
-        t = Rat(t)
+        lam, t = tuple(map(rat, lam)), rat(t)
         if K is None:
-            K = _combination_complement(lf, lam)
+            K = co_combination_body(lf.base, lam).complement
         lhs = volume(_cut_complement(lf, K, t))
         rhs = c * t**d - base_poly.evaluate(lam)
         checked += 1

@@ -121,7 +121,7 @@ CASES = [
     ("volpoly body-2.json",
         "8390b35bdbb8413182b8b71e74ace34a33598606f19cd7ce536a8d449e9c8026"),
     ("volume convex-family-2.json",
-        "80103272ce0e545fef1afed4e649143fdc6df0f0dcf5104d6cfaf3bb98a293c3"),
+        "8b1246de8b2eac7529b0405dfd3554132f274d8a46ebf6e7d410d3a9658874e4"),
     ("volume coconvex-family-2.json",
         "4d95f4201d76a22ddee005db98645cec466fe7d825ced703cb77c6806b2ae7dd"),
     ("mixedvol body-2.json coconvex-body-2.json",

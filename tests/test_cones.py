@@ -18,6 +18,7 @@ from coconvex.cones import (
 )
 from coconvex.dd import cone_extreme_rays
 from coconvex.errors import (
+    CoconvexError,
     ComplementNotCompact,
     ComplementNotInCone,
     ConeMismatch,
@@ -27,8 +28,14 @@ from coconvex.errors import (
     NotFullDimensional,
     NotStrictlyConvex,
 )
-from coconvex.forms import make_coconvex_family
-from coconvex.lift import lift
+from coconvex.forms import (
+    co_combination_body,
+    combination_body,
+    make_coconvex_family,
+    make_convex_family,
+)
+from coconvex.lift import lift, lifted_body, lifted_body_materialized, verify_identity_V
+from coconvex.polynomial import HomogeneousPolynomial
 from coconvex.polytope import Halfspace, convex_hull, volume
 from coconvex.rational import Rat
 
@@ -107,6 +114,16 @@ def test_truncation_validation(corner_triangle):
         lambda square, body: make_cone([(True, 1), (1, 0)]),
         lambda square, body: lift(make_coconvex_family([body]), xi=(0.5, 1)),
         lambda square, body: co_volume(body, Truncation((1, 1), 2.5)),
+        lambda square, body: make_convex_family([_tetrahedron()] * 2, marked=[(0.1, 1)]),
+        lambda square, body: combination_body(make_convex_family([square] * 2), (0.5, True)),
+        lambda square, body: combination_body(make_convex_family([square] * 2), (1, True)),
+        lambda square, body: co_combination_body(make_coconvex_family([body] * 2), (0.5, 1)),
+        lambda square, body: lifted_body(_lifted(body), (1.5,), 100),
+        lambda square, body: lifted_body(_lifted(body), (1,), 100.5),
+        lambda square, body: lifted_body_materialized(_lifted(body), (1,), 100.5),
+        lambda square, body: verify_identity_V(
+            _lifted(body, 2), HomogeneousPolynomial(2, 2, {}), samples=[((1, 1), 100.5)]
+        ),
     ],
     ids=[
         "translate_float",
@@ -117,13 +134,31 @@ def test_truncation_validation(corner_triangle):
         "cone_bool_ray",
         "lift_float_xi",
         "truncation_float_t",
+        "marked_float",
+        "combination_float",
+        "combination_bool",
+        "co_combination_float",
+        "lifted_body_float_lam",
+        "lifted_body_float_t",
+        "materialized_float_t",
+        "identity_V_float_t",
     ],
 )
 def test_constructors_refuse_floats_and_bools(unit_square, corner_triangle, build):
     # 0.1 would enter as its binary expansion, (0.5, 1) would become the ray
-    # (1, 2), and True would be read as 1
-    with pytest.raises(ValueError):
+    # (1, 2), and True would be read as 1.  Each input is otherwise valid,
+    # so the refusal is rational.rat's plain ValueError, not a domain error.
+    with pytest.raises(ValueError) as err:
         build(unit_square, corner_triangle)
+    assert not isinstance(err.value, CoconvexError)
+
+
+def _tetrahedron():
+    return convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def _lifted(body, n=1):
+    return lift(make_coconvex_family([body] * n))
 
 
 def test_corner_simplex_volume(corner_simplex):

@@ -55,6 +55,18 @@ def test_polyhedron_empty_and_invalid():
         polyhedron_from_json({"vertices": []})
 
 
+def test_polyhedron_rejects_unknown_fields(unit_square, quadrant):
+    # a convex-family file has a 'dim' too; read as a body, it used to load
+    # as the empty polyhedron and report volume 0
+    fam = convex_family_to_json(make_convex_family([unit_square]))
+    message = r"unknown polyhedron field\(s\): 'generators', 'marked'$"
+    with pytest.raises(CoconvexError, match=message):
+        polyhedron_from_json(fam)
+    # the 'dim' check runs first, so a cone file keeps its message
+    with pytest.raises(CoconvexError, match="needs a 'dim' field"):
+        polyhedron_from_json(cone_to_json(quadrant))
+
+
 def test_loaded_polyhedron_is_canonicalized():
     # interior points in the serialized form must not survive the load
     obj = {"dim": 2, "vertices": [["0", "0"], ["2", "0"], ["0", "2"], ["1", "1"]], "rays": []}

@@ -7,8 +7,6 @@ from coconvex.errors import CoconvexError, DimensionMismatch, InvalidTruncation
 from coconvex.forms import co_volume_polynomial, make_coconvex_family
 from coconvex.harness import SplitMix64, gen_coconvex_family
 from coconvex.lift import (
-    combination_threshold,
-    default_lift_samples,
     lift,
     lifted_body,
     lifted_body_materialized,
@@ -48,7 +46,6 @@ def simplex_lift(corner_simplex):
 def test_lift_window_and_marked(triangle_lift):
     assert triangle_lift.xi == (1, 1)
     assert triangle_lift.t0 == 1
-    assert triangle_lift.t1 == 3
     assert triangle_lift.lifted_marked == ()
 
 
@@ -97,13 +94,6 @@ def test_lift_rejects_coefficients_of_wrong_length(pair_lift):
     for lam in [(1,), (1, 1, 1)]:
         with pytest.raises(DimensionMismatch):
             lifted_body(pair_lift, lam, 3)
-        with pytest.raises(DimensionMismatch):
-            combination_threshold(pair_lift, lam)
-
-
-def test_combination_threshold_scales(pair_lift):
-    assert combination_threshold(pair_lift, (1, 1)) == 3
-    assert combination_threshold(pair_lift, (2, 1)) == 4
 
 
 def test_materialized_route_agrees(triangle_lift, pair_lift):
@@ -141,13 +131,6 @@ def test_recovered_base_rejects_mixed_terms(triangle_lift):
         recovered_base_polynomial(triangle_lift, missing_top)
 
 
-def test_default_samples_are_valid(pair_lift):
-    samples = default_lift_samples(pair_lift)
-    assert len(samples) == 5
-    for lam, t in samples:
-        assert Rat(t) > combination_threshold(pair_lift, lam)
-
-
 def test_identity_V(triangle_lift, pair_lift, simplex_lift):
     for lf in (triangle_lift, pair_lift, simplex_lift):
         report = verify_identity_V(lf, co_volume_polynomial(lf.base))
@@ -166,15 +149,16 @@ def test_default_V_builds_each_complement_once(monkeypatch):
     fam = gen_coconvex_family(SplitMix64(5), 3, 2, 3)
     lf = lift(fam)
     base = co_volume_polynomial(fam)
-    explicit = verify_identity_V(lf, base, default_lift_samples(lf))
+    # the package re-exports the function lift, which hides the module
+    samples = import_module("coconvex.lift")._default_samples(lf, 5)
+    explicit = verify_identity_V(lf, base, [(lam, t) for lam, t, _ in samples])
     calls = []
 
     def counting(P, Q):
         calls.append((P, Q))
         return minkowski_sum(P, Q)
 
-    # the package re-exports the function lift, which hides the module
-    monkeypatch.setattr(import_module("coconvex.lift"), "minkowski_sum", counting)
+    monkeypatch.setattr(import_module("coconvex.forms"), "minkowski_sum", counting)
     report = verify_identity_V(lf, base)
     assert len(calls) == 5
     assert report == explicit and report["status"] == "ok" and report["samples"] == 5
