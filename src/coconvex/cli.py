@@ -76,11 +76,10 @@ from .polytope import volume
 
 def _family(obj, coconvex=None, wrong_kind=""):
     """The family in `obj`, coconvex when it names a cone.  With `coconvex`
-    set, a family of the other kind raises `wrong_kind` once it has loaded."""
-    fam = coconvex_family_from_json(obj) if "cone" in obj else convex_family_from_json(obj)
-    if coconvex is not None and isinstance(fam, CoconvexFamily) != coconvex:
+    set, an object of the other kind raises `wrong_kind` before loading."""
+    if coconvex is not None and ("cone" in obj) != coconvex:
         raise CoconvexError(wrong_kind)
-    return fam
+    return coconvex_family_from_json(obj) if "cone" in obj else convex_family_from_json(obj)
 
 
 # `gen` kinds, in the order `--help` lists them.

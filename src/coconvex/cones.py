@@ -155,18 +155,15 @@ def _check_cutoff(complement: Polyhedron, xi, t) -> None:
         raise InvalidTruncation("cutoff does not clear the complement's vertices")
 
 
-def _region_volume(cone: Cone, complement: Polyhedron, trunc: Truncation):
-    cut = trunc.halfspace()
-    return volume(clip(cone_polyhedron(cone), cut)) - volume(clip(complement, cut))
-
-
 def make_coconvex(cone: Cone, complement: Polyhedron) -> CoconvexBody:
     """Validate the (cone, complement) pair as a genuine coconvex body.
 
     Checks, in order: the complement sits inside the cone; its recession
     cone is the whole cone; every cone ray eventually enters the
     complement, which certifies the carved-out region is bounded; and the
-    region has positive volume.
+    region has positive volume.  With the first two, K = conv(V) + C, so
+    C minus K is empty exactly when K = C and is otherwise a non-empty
+    relatively open part of the full-dimensional C.
     """
     if complement.dim != cone.dim:
         raise DimensionMismatch("cone and complement dimensions differ")
@@ -181,10 +178,9 @@ def make_coconvex(cone: Cone, complement: Polyhedron) -> CoconvexBody:
                 raise ComplementNotCompact(
                     "a cone ray never enters the complement; the region is unbounded"
                 )
-    body = CoconvexBody(cone, complement)
-    if _region_volume(cone, complement, synthesize_truncation(body)) == 0:
+    if complement == cone_polyhedron(cone):
         raise EmptyInterior("region between cone and complement has volume zero")
-    return body
+    return CoconvexBody(cone, complement)
 
 
 def co_volume(body: CoconvexBody, trunc: Truncation | None = None):
@@ -194,7 +190,8 @@ def co_volume(body: CoconvexBody, trunc: Truncation | None = None):
     else:
         _check_functional(body.cone, trunc.xi)
         _check_cutoff(body.complement, trunc.xi, rat(trunc.t))
-    return _region_volume(body.cone, body.complement, trunc)
+    cut = trunc.halfspace()
+    return volume(clip(cone_polyhedron(body.cone), cut)) - volume(clip(body.complement, cut))
 
 
 def co_scale(factor, body: CoconvexBody) -> CoconvexBody:

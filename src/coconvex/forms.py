@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from math import factorial
+from math import comb, factorial, prod
 
 from .cones import Cone, CoconvexBody, co_volume
 from .errors import (
@@ -115,7 +115,8 @@ def mixed_volume(bodies):
     keyed by that multiplicity vector and each is assembled once: a single
     body taken c times is its dilate by c (c * P = P + ... + P for convex
     P), and any other key is one minkowski_sum onto the key with one copy
-    fewer of its last body.
+    fewer of its last body.  Each key's volume is measured once, weighted
+    by the number of subsets with that multiplicity vector.
     """
     bodies = tuple(bodies)
     if not bodies:
@@ -133,10 +134,10 @@ def mixed_volume(bodies):
     if all(P == bodies[0] for P in bodies[1:]):
         return volume(bodies[0])
     distinct = list(dict.fromkeys(bodies))
-    slot = [distinct.index(P) for P in bodies]
-    counts = [slot.count(i) for i in range(len(distinct))]
+    counts = [bodies.count(P) for P in distinct]
     # Lexicographic order builds each key after the key it extends.
     sums: dict[tuple, Polyhedron] = {}
+    total = ZERO
     for key in product(*(range(c + 1) for c in counts)):
         used = [i for i, c in enumerate(key) if c]
         if not used:
@@ -148,17 +149,8 @@ def mixed_volume(bodies):
             fewer = key[:last] + (key[last] - 1,) + key[last + 1 :]
             body = minkowski_sum(sums[fewer], distinct[last])
         sums[key] = body
-    total = ZERO
-    for mask in range(1, 1 << d):
-        key = [0] * len(distinct)
-        for pos in range(d):
-            if mask >> pos & 1:
-                key[slot[pos]] += 1
-        body = sums[tuple(key)]
-        if (d - mask.bit_count()) % 2:
-            total = total - volume(body)
-        else:
-            total = total + volume(body)
+        term = prod(map(comb, counts, key)) * volume(body)
+        total = total - term if (d - sum(key)) % 2 else total + term
     return total / factorial(d)
 
 

@@ -21,8 +21,8 @@ its relative interior does.  A generator on every facet lies in the
 lineality space of C, so the polyhedron contains a line.  The facets of
 that same pass ride on the body (`Polyhedron.facets`, outside equality and
 hashing).  Every non-empty body carries its facets, so `dd_convert`,
-`clip`, `contains`, `affine_dimension` and the top level of `volume` read
-them and never run DD for them.  `scale` and `translate` map the facets of
+`clip`, `contains`, `affine_dimension` and `volume` read them and never
+run DD for them.  `scale` and `translate` map the facets of
 a full-dimensional body.  A lower-dimensional body's facet normals lie in
 the span of its homogenized generators, which moves with the body, so
 there they run one DD pass on the moved generators instead.
@@ -59,9 +59,13 @@ lattice polytopes, and a lattice polytope's normalized volume is an
 integer because it triangulates into lattice simplices, whose normalized
 volumes are determinants of integer matrices.  The term does not change
 when (a, b) is scaled, so the top level can take a carried facet with its
-bound times L, whose normal alone need not be primitive.  The base cases
-are twice the shoelace area of the planar hull and the length max - min
-of a segment.
+bound times L, whose normal alone need not be primitive.  Lower levels
+run no DD either: for k >= 3 the facets of a facet F are the ridges where
+it meets the facets G whose shared vertex set with F is maximal, read off
+the vertex-facet incidence (Bueler-Enge-Fukuda, "Exact volume computation
+for polytopes", 2000), each G's row with x_j eliminated through F's
+equation.  The base cases are twice the shoelace area of the planar hull
+and the length max - min of a segment.
 """
 
 from __future__ import annotations
@@ -270,22 +274,6 @@ def convex_hull(points, rays=()) -> Polyhedron:
     return _hull(pts, rs, dim)
 
 
-def _facets_of_point_set(verts, dim):
-    """Facets (normal, bound) in <= form of a full-dimensional conv(verts);
-    integer points give integer facets."""
-    gens = [(1,) + tuple(v) for v in verts]
-    dual_rays, dual_lin, _ = cone_extreme_rays(gens, dim + 1)
-    if dual_lin:
-        raise AssertionError("facet scan on a degenerate point set")
-    facets = []
-    for y in dual_rays:
-        normal = tuple(-c for c in y[1:])
-        if all(c == 0 for c in normal):
-            continue
-        facets.append((normal, y[0]))
-    return facets
-
-
 def dd_convert(P: Polyhedron) -> tuple[Halfspace, ...]:
     """Irredundant facet description, the one the body carries;
     lower-dimensional input yields paired opposite halfspaces for each
@@ -392,30 +380,46 @@ def _twice_polygon_area(points) -> int:
     return abs(twice)
 
 
-def _normalized_volume(verts, k, facets=None) -> int:
-    """k! times the k-volume of the full-dimensional hull of integer points.
+def _ridges(facets, masks, i, j):
+    """The facets of F = facets[i] in its coordinates without x_j: for each
+    maximal shared vertex mask, the other facet's row with x_j eliminated
+    through F's equation, times the sign of F's a_j, made primitive."""
+    a, b = facets[i]
+    s = 1 if a[j] > 0 else -1
+    shared = {masks[i] & m: g for g, m in enumerate(masks) if g != i}
+    ridges = []
+    for m in _maximal_masks(shared):
+        n, c = facets[shared[m]]
+        row = primitive_integer([s * (a[j] * x - n[j] * y) for x, y in zip(n + (c,), a + (b,))])
+        ridges.append((row[:j] + row[j + 1 : -1], row[-1]))
+    return ridges
 
-    `facets` are the hull's facets as (normal, bound) pairs when already
-    known; otherwise a DD pass finds them.  Lower levels always scan.
-    """
+
+def _normalized_volume(verts, k, facets) -> int:
+    """k! times the k-volume of the full-dimensional hull of integer points,
+    whose facets are the (normal, bound) pairs `facets`."""
     if k == 1:
         coords = [v[0] for v in verts]
         return max(coords) - min(coords)
     if k == 2:
         return _twice_polygon_area(verts)
     apex = verts[0]
+    if k > 3:
+        masks = [
+            sum(1 << n for n, v in enumerate(verts) if dot(normal, v) == bound)
+            for normal, bound in facets
+        ]
     total = 0
-    if facets is None:
-        facets = _facets_of_point_set(verts, k)
-    for normal, bound in facets:
+    for i, (normal, bound) in enumerate(facets):
         height = bound - dot(normal, apex)
         if height == 0:
             continue
-        j = next(i for i, c in enumerate(normal) if c != 0)
+        j = next(t for t, c in enumerate(normal) if c != 0)
         fverts = tuple(
             v[:j] + v[j + 1 :] for v in verts if dot(normal, v) == bound
         )
-        term, rest = divmod(abs(height) * _normalized_volume(fverts, k - 1), abs(normal[j]))
+        ridges = _ridges(facets, masks, i, j) if k > 3 else ()
+        term, rest = divmod(abs(height) * _normalized_volume(fverts, k - 1, ridges), abs(normal[j]))
         if rest:
             raise AssertionError("lattice pyramid with a fractional normalized volume")
         total += term

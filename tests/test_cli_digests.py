@@ -115,7 +115,7 @@ CASES = [
     ("lift-verify convex-family-2.json",
         "db68e6e8a3d17da8327ddc8c4dca36c7e1565b379cbaf83ebc5cd3c45631e6be"),
     ("co-afform body-2.json",
-        "8390b35bdbb8413182b8b71e74ace34a33598606f19cd7ce536a8d449e9c8026"),
+        "9586595b9e763e6bb0c4162af653dd9040082a8831058d434cf8f1358cc0d1cd"),
     ("afform cone-2.json",
         "8390b35bdbb8413182b8b71e74ace34a33598606f19cd7ce536a8d449e9c8026"),
     ("volpoly body-2.json",
@@ -138,7 +138,7 @@ CASES = [
     ("afform malformed.json",
         "b2d375dc0a259db75bde66d1a3847d82cb263cafc5945885a687264ec38682ce"),
     ("lift-verify float.json",
-        "8390b35bdbb8413182b8b71e74ace34a33598606f19cd7ce536a8d449e9c8026"),
+        "db68e6e8a3d17da8327ddc8c4dca36c7e1565b379cbaf83ebc5cd3c45631e6be"),
     ("volume body-2.json --out missing-dir/out.json",
         "8c7eec8b5c56a5d0704b9c58dd0b6ed190f408988771ecc093ee42593fea6f4a"),
     ("gen body --out missing-dir/out.json",

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import cone_reference
 import hull_reference
+import volume_reference
 from coconvex import cones, polytope
 from coconvex.cones import (
     Truncation,
@@ -205,6 +206,34 @@ def test_wrong_recession_cone_is_rejected(quadrant):
 def test_zero_region_is_rejected(quadrant):
     with pytest.raises(EmptyInterior):
         make_coconvex(quadrant, cone_polyhedron(quadrant))
+
+
+def test_volume_and_make_coconvex_run_no_dd_pass(monkeypatch, octant):
+    # volume reads every level's facets off the carried ones, and
+    # make_coconvex checks the pair with dot products and one comparison:
+    # neither runs DD or clips, at any dimension.
+    bodies = [
+        convex_hull([(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 1), (0, 0, 2, 0),
+                     (1, 0, 0, 2), (1, 1, 1, 1)]),
+        convex_hull([(0, 0, 0, 0, 0), (1, 0, 0, 0, Rat(1, 2)), (0, Rat(2, 3), 0, 1, 0),
+                     (Rat(-1, 2), 0, 1, 0, 0), (0, 0, Rat(1, 3), 1, 1),
+                     (1, 1, 0, Rat(-1, 4), 0), (1, 1, 1, 1, 1)]),
+    ]
+    wants = [volume_reference.volume(P) for P in bodies]
+    K = convex_hull([(1, 0, 0), (0, 2, 0), (0, 0, 1)], rays=octant.rays)
+    whole = convex_hull([(0, 0, 0)], rays=octant.rays)
+
+    def forbidden(*args):
+        raise AssertionError("ran a DD pass or a clip")
+
+    for module in (polytope, cones):
+        monkeypatch.setattr(module, "cone_extreme_rays", forbidden)
+        monkeypatch.setattr(module, "clip", forbidden)
+    for P, want in zip(bodies, wants):
+        assert volume.__wrapped__(P) == want > 0
+    assert make_coconvex(octant, K).complement is K
+    with pytest.raises(EmptyInterior):
+        make_coconvex(octant, whole)
 
 
 def test_dimension_mismatch_is_rejected(quadrant):

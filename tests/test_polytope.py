@@ -242,10 +242,15 @@ def point_sets(draw):
 @example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3))  # a flat square
 @example(([(0, 0, 0, 0), (Rat(1, 2), 0, 0, 0), (0, Rat(1, 3), 0, 0),
            (0, 0, Rat(1, 5), 0), (0, 0, 0, Rat(1, 7)), (1, 1, 1, 1)], 4))
+# d = 5: the ridges of a facet's ridges are derived from derived rows
+@example((list(product((0, 1), repeat=5)), 5))  # the 5-cube
+# a rational 5-simplex
+@example(([(0, 0, 0, 0, 0), (1, 0, 0, 0, Rat(1, 2)), (0, Rat(2, 3), 0, 1, 0),
+           (Rat(-1, 2), 0, 1, 0, 0), (0, 0, Rat(1, 3), 1, 1), (1, 1, 0, Rat(-1, 4), 0)], 5))
 def test_volume_matches_rational_recursion(case):
     # The canonical hull gives the exact Rat of the Fraction-based
-    # recursion.  So does the integer kernel on the raw point list
-    # (duplicates, interior points and all) when it is full-dimensional.
+    # recursion, and so does the integer kernel on the lattice-scaled
+    # vertices with the hull's facets at bounds L * b.
     pts, dim = case
     hull = convex_hull(pts)
     got = volume.__wrapped__(hull)
@@ -255,16 +260,15 @@ def test_volume_matches_rational_recursion(case):
     assert affine_dimension(hull) == volume_reference.affine_dimension(hull)
     if affine_dimension(hull) < dim:
         return
-    raw = [tuple(Rat(x) for x in p) for p in pts]
-    L, scaled = polytope._lattice_scaled(raw)
-    normalized = polytope._normalized_volume(scaled, dim)
+    L, scaled = polytope._lattice_scaled(hull.vertices)
+    facets = [(h.normal, L * h.bound) for h in hull.facets]
+    normalized = polytope._normalized_volume(scaled, dim, facets)
     assert type(normalized) is int
     assert Rat(normalized, factorial(dim) * L**dim) == want
-    assert volume_reference._volume_full_dim(raw, dim) == want
 
 
 def test_volume_kernel_builds_no_rationals(monkeypatch):
-    # Scaling, facet scans and the recursion stay in int; the only Rat built
+    # Scaling, ridge rows and the recursion stay in int; the only Rat built
     # is the final N_d / (d! * L^d).
     rational_simplex = convex_hull(
         [(0, 0, 0), (Rat(1, 2), 0, 0), (0, Rat(2, 3), 0), (0, 0, Rat(3, 4))]
@@ -287,7 +291,9 @@ def test_volume_kernel_builds_no_rationals(monkeypatch):
     assert volume.__wrapped__(rational_simplex) == Rat(1, 24)
     # L = 12: the scaled simplex has legs 6, 8, 9, so N_3 = 432
     assert built == [(432, 6 * 12**3)]
-    assert type(polytope._normalized_volume(list(product((0, 2), repeat=4)), 4)) is int
+    L, scaled = polytope._lattice_scaled(lattice_cube.vertices)
+    facets = [(h.normal, L * h.bound) for h in lattice_cube.facets]
+    assert type(polytope._normalized_volume(scaled, 4, facets)) is int
 
 
 small = st.integers(-3, 3)

@@ -3,9 +3,12 @@
 This is the `Fraction`-based volume path that the integer normalized-volume
 kernel in `coconvex.polytope` replaced: `affine_dimension` through the
 rational `linalg.rank`, the recursion `_volume_full_dim` and the planar base
-case `_convex_polygon_area`, all on `Rat` coordinates.  It shares only the
-double description kernel with the code it checks.  Differential tests
-require both to return the identical `Rat`.
+case `_convex_polygon_area`, all on `Rat` coordinates.  It scans every
+level's facets with the double description kernel.  The code it checks
+runs no DD pass: it reads the body's carried facets at the top level and
+derives each lower level's from vertex-facet incidence, so the two share
+DD only through the hull that built the body.  Differential tests require
+both to return the identical `Rat`.
 """
 
 from __future__ import annotations
