@@ -134,8 +134,9 @@ def truncation_threshold(complement: Polyhedron, xi) -> Rat:
     return max(Rat(dot(xi, v)) for v in complement.vertices)
 
 
-def synthesize_truncation(body: "CoconvexBody", xi=None) -> Truncation:
-    xi = tuple(xi) if xi is not None else body.cone.xi
+def synthesize_truncation(body: CoconvexBody) -> Truncation:
+    """A cut by the cone's certificate that clears the complement."""
+    xi = body.cone.xi
     return Truncation(xi, truncation_threshold(body.complement, xi) + 1)
 
 

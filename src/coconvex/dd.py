@@ -17,7 +17,14 @@ row) / q.  Every entry is then, up to sign, a minor of the input matrix,
 so the division is exact and the entries stay as small as those minors.
 Because only the direction of each vector matters and every output is
 made primitive, the results are exactly those of rational elimination:
-the same row-space basis, lineality vectors and rays, bit for bit.
+the same lineality vectors and rays, bit for bit.
+
+The kernel works in its input coordinates.  It picks the first
+independent rows greedily, stacks them over a lineality basis and
+inverts; the inverse's columns for the picked rows are the starting rays.
+Each is orthogonal to the lineality space, so it lies in the row space,
+where the cone is pointed, and so does every positive combination of
+rays that the insertion builds: no change of basis is needed.
 
 The incremental insertion keeps, at every step, exactly the extreme rays of
 the cone cut out by the constraints processed so far, starting from an
@@ -70,12 +77,10 @@ def _gauss_jordan(rows, ncols):
     return mat[:rank], pivots, prev
 
 
-def _row_space(rows, dim):
-    """Primitive row-space basis (the rows of the reduced row echelon form,
-    made primitive) and sign-normalized lineality basis."""
+def _lineality(rows, dim):
+    """Sign-normalized basis of {x : row . x = 0 for every row}: one vector
+    per free column of the reduced row echelon form, made primitive."""
     reduced, pivots, d = _gauss_jordan(rows, dim)
-    sign = 1 if d > 0 else -1
-    w_basis = [primitive_integer([sign * x for x in row]) for row in reduced]
     lineality = []
     for fc in range(dim):
         if fc in pivots:
@@ -85,7 +90,7 @@ def _row_space(rows, dim):
         for row, pc in zip(reduced, pivots):
             vec[pc] = -row[fc]
         lineality.append(sign_normalized(primitive_integer(vec)))
-    return w_basis, lineality
+    return lineality
 
 
 def independent_rows(rows, r):
@@ -127,20 +132,23 @@ def scaled_inverse(square):
     return [row[n:] for row in reduced], d
 
 
-def _starting_basis(m_rows, r):
-    """The first r independent rows (greedily, in order) and the extreme
-    rays of the simplicial cone they cut out.
+def _starting_basis(rows, dim):
+    """The first independent rows (greedily, in order), the lineality basis
+    and the extreme rays of the pointed cone the chosen rows cut out.
 
-    Ray k is column k of the inverse of the chosen rows, made primitive:
-    it meets chosen row k positively and the others in zero.
+    Ray k is column k of the inverse of the chosen rows stacked over the
+    lineality basis, made primitive: it meets chosen row k positively and
+    the other chosen rows and the lineality space in zero.
     """
-    picked = independent_rows(m_rows, r)
-    if len(picked) < r:
-        raise AssertionError("rank drop in reduced constraint system")
-    inverse, d = scaled_inverse([row for _, row in picked])
+    picked = independent_rows(rows, dim)
+    chosen = [row for _, row in picked]
+    lineality = _lineality(chosen, dim) if len(chosen) < dim else []
+    inverse, d = scaled_inverse(chosen + lineality)
+    if len(inverse) < dim:
+        raise AssertionError("chosen rows and lineality basis are dependent")
     sign = 1 if d > 0 else -1
-    rays = [primitive_integer([sign * row[k] for row in inverse]) for k in range(r)]
-    return [idx for idx, _ in picked], rays
+    rays = [primitive_integer([sign * row[k] for row in inverse]) for k in range(len(chosen))]
+    return [idx for idx, _ in picked], rays, lineality
 
 
 def cone_extreme_rays(rows, dim):
@@ -173,13 +181,8 @@ def cone_extreme_rays(rows, dim):
         identity = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
         return [], identity, [0] * len(slots)
 
-    # Work in coordinates on the row space: x = sum_j u_j * W_j.  The
-    # reduced cone {u : M u >= 0} is pointed because W spans the row space.
-    w_basis, lineality = _row_space(cleaned, dim)
-    r = len(w_basis)
-    m_rows = [tuple(sum(map(mul, a, w)) for w in w_basis) for a in cleaned]
-
-    basis_idx, rays = _starting_basis(m_rows, r)
+    basis_idx, rays, lineality = _starting_basis(cleaned, dim)
+    r = len(rays)
     basis_bits = 0
     for i in basis_idx:
         basis_bits |= 1 << i
@@ -192,7 +195,7 @@ def cone_extreme_rays(rows, dim):
     # on a processed row exactly when both of them do.
     basis_set = set(basis_idx)
     need = r - 2
-    for idx, m in enumerate(m_rows):
+    for idx, m in enumerate(cleaned):
         if idx in basis_set or not rays:
             continue
         bit = 1 << idx
@@ -235,24 +238,16 @@ def cone_extreme_rays(rows, dim):
                     keep_masks.append(common | bit)
         rays, masks = keep_rays, keep_masks
 
-    mapped = []
-    for ray, mask in zip(rays, masks):
-        vec = [0] * dim
-        for coeff, w in zip(ray, w_basis):
-            for j in range(dim):
-                vec[j] += coeff * w[j]
-        mapped.append((primitive_integer(vec), mask))
-    # A row's value on a mapped ray is a positive multiple of its value on
-    # the reduced ray, so the masks carry over; transposed, they give each
-    # cleaned row the set of sorted rays it vanishes on.
-    mapped.sort()
+    # Transposed, the masks give each cleaned row the set of sorted rays it
+    # vanishes on.
+    result = sorted(zip(rays, masks))
     by_row = [0] * len(cleaned)
-    for k, (_, mask) in enumerate(mapped):
+    for k, (_, mask) in enumerate(result):
         bit = 1 << k
         while mask:
             low = mask & -mask
             by_row[low.bit_length() - 1] |= bit
             mask ^= low
-    every = (1 << len(mapped)) - 1
+    every = (1 << len(result)) - 1
     incidence = [by_row[j] if j >= 0 else every for j in slots]
-    return [ray for ray, _ in mapped], sorted(lineality), incidence
+    return [ray for ray, _ in result], sorted(lineality), incidence

@@ -231,7 +231,7 @@ def derivative_chain(P: HomogeneousPolynomial, directions) -> HomogeneousPolynom
 
 def polynomial_af_forms(P: HomogeneousPolynomial, marked):
     """(B, Q) matrices of a degree-d volume polynomial with d-2 marked vectors."""
-    marked = tuple(tuple(Rat(x) for x in v) for v in marked)
+    marked = tuple(tuple(rat(x) for x in v) for v in marked)
     if len(marked) != P.degree - 2:
         raise DimensionMismatch(f"need exactly {P.degree - 2} marked vectors")
     for v in marked:
@@ -261,16 +261,15 @@ def form_apply(matrix, u, v):
     n = len(matrix)
     if len(u) != n or len(v) != n:
         raise DimensionMismatch("vector length differs from matrix size")
+    u = [rat(x) for x in u]
+    v = [rat(x) for x in v]
     total = ZERO
-    for i in range(n):
-        ui = Rat(u[i])
+    for ui, row in zip(u, matrix):
         if ui == 0:
             continue
-        row = matrix[i]
-        for j in range(n):
-            vj = Rat(v[j])
+        for vj, m in zip(v, row):
             if vj != 0:
-                total = total + ui * row[j] * vj
+                total = total + ui * m * vj
     return total
 
 
@@ -292,11 +291,11 @@ def reversed_bm_check(P: HomogeneousPolynomial, u, v, t) -> bool:
     parameter t, decided by exact root-sum comparison."""
     from .rational import compare_root_sum
 
-    t = Rat(t)
+    t = rat(t)
     if t < 0 or t > 1:
         raise CoconvexError("interpolation parameter must lie in [0, 1]")
-    u = tuple(Rat(x) for x in u)
-    v = tuple(Rat(x) for x in v)
+    u = tuple(rat(x) for x in u)
+    v = tuple(rat(x) for x in v)
     mid = tuple(t * a + (1 - t) * b for a, b in zip(u, v))
     terms = [(t, P.evaluate(u)), (1 - t, P.evaluate(v)), (Rat(-1), P.evaluate(mid))]
     return compare_root_sum(terms, P.degree) >= 0
@@ -310,12 +309,12 @@ def generalized_rbm_check(P: HomogeneousPolynomial, directions, u, v) -> bool:
     """
     from .rational import compare_root_sum
 
-    W = derivative_chain(P, tuple(tuple(Rat(x) for x in w) for w in directions))
+    W = derivative_chain(P, directions)
     deg = W.degree
     if deg < 1:
         raise DimensionMismatch("cascade went below degree one")
-    u = tuple(Rat(x) for x in u)
-    v = tuple(Rat(x) for x in v)
+    u = tuple(rat(x) for x in u)
+    v = tuple(rat(x) for x in v)
     mid = tuple((a + b) / 2 for a, b in zip(u, v))
     wu, wv, wm = W.evaluate(u), W.evaluate(v), W.evaluate(mid)
     if wu < 0 or wv < 0 or wm < 0:

@@ -35,6 +35,7 @@ from .forms import (
     volume_polynomial_interpolated,
 )
 from .jsonio import (
+    _known_fields,
     coconvex_family_to_json,
     convex_family_to_json,
     form_to_json,
@@ -435,9 +436,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise CoconvexError("experiment config must be a JSON object")
     int_fields = ("dim", "n_generators", "n_trials", "seed", "coordinate_bound")
-    unknown = [key for key in obj if key not in int_fields and key != "suite"]
-    if unknown:
-        raise CoconvexError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
+    _known_fields(obj, int_fields + ("suite",), "config")
     kwargs = {}
     for key in int_fields:
         if key in obj:

@@ -30,6 +30,15 @@ def _field(obj, key, what):
     return obj[key]
 
 
+def _known_fields(obj, fields, what):
+    """Refuse any field of obj outside `fields`.  Loaders call this after
+    reading their required fields, so a misspelled optional field is an
+    error rather than a silent default."""
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise CoconvexError(f"unknown {what} field(s): {', '.join(map(repr, unknown))}")
+
+
 def _int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise CoconvexError(f"{what} must be a JSON integer")
@@ -77,9 +86,7 @@ def polyhedron_from_json(obj: dict) -> Polyhedron:
     dim = _int_field(obj, "dim", "polyhedron")
     if dim < 1:
         raise DimensionMismatch("polyhedron field 'dim' must be at least 1")
-    unknown = sorted(set(obj) - {"dim", "vertices", "rays"})
-    if unknown:
-        raise CoconvexError(f"unknown polyhedron field(s): {', '.join(map(repr, unknown))}")
+    _known_fields(obj, ("dim", "vertices", "rays"), "polyhedron")
     vertices = [vector_from_json(v) for v in _list_field(obj, "vertices", "polyhedron", [])]
     rays = [vector_from_json(r) for r in _list_field(obj, "rays", "polyhedron", [])]
     if any(len(v) != dim for v in vertices):
@@ -96,8 +103,10 @@ def cone_to_json(c: Cone) -> dict:
 
 
 def cone_from_json(obj: dict) -> Cone:
+    rays = _list_field(obj, "rays", "cone")
     # the stored xi is advisory; the constructor recomputes the canonical one
-    return make_cone([vector_from_json(r) for r in _list_field(obj, "rays", "cone")])
+    _known_fields(obj, ("rays", "xi"), "cone")
+    return make_cone([vector_from_json(r) for r in rays])
 
 
 def coconvex_to_json(b: CoconvexBody) -> dict:
@@ -105,10 +114,10 @@ def coconvex_to_json(b: CoconvexBody) -> dict:
 
 
 def coconvex_from_json(obj: dict) -> CoconvexBody:
-    return make_coconvex(
-        cone_from_json(_field(obj, "cone", "coconvex body")),
-        polyhedron_from_json(_field(obj, "complement", "coconvex body")),
-    )
+    cone = cone_from_json(_field(obj, "cone", "coconvex body"))
+    complement = _field(obj, "complement", "coconvex body")
+    _known_fields(obj, ("cone", "complement"), "coconvex body")
+    return make_coconvex(cone, polyhedron_from_json(complement))
 
 
 def _marked_from_json(obj, what):
@@ -127,7 +136,13 @@ def convex_family_to_json(f: ConvexFamily) -> dict:
 
 
 def convex_family_from_json(obj: dict) -> ConvexFamily:
-    gens = [polyhedron_from_json(g) for g in _list_field(obj, "generators", "convex family")]
+    gens = _list_field(obj, "generators", "convex family")
+    _known_fields(obj, ("dim", "generators", "marked"), "convex family")
+    gens = [polyhedron_from_json(g) for g in gens]
+    if "dim" in obj:
+        dim = _int_field(obj, "dim", "convex family")
+        if any(P.dim != dim for P in gens):
+            raise DimensionMismatch(f"a convex family generator does not have dim = {dim}")
     return make_convex_family(gens, _marked_from_json(obj, "convex family"))
 
 
@@ -141,10 +156,9 @@ def coconvex_family_to_json(f: CoconvexFamily) -> dict:
 
 def coconvex_family_from_json(obj: dict) -> CoconvexFamily:
     cone = cone_from_json(_field(obj, "cone", "coconvex family"))
-    gens = [
-        make_coconvex(cone, polyhedron_from_json(g))
-        for g in _list_field(obj, "generators", "coconvex family")
-    ]
+    gens = _list_field(obj, "generators", "coconvex family")
+    _known_fields(obj, ("cone", "generators", "marked"), "coconvex family")
+    gens = [make_coconvex(cone, polyhedron_from_json(g)) for g in gens]
     return make_coconvex_family(gens, _marked_from_json(obj, "coconvex family"))
 
 
@@ -160,15 +174,17 @@ def polynomial_to_json(P: HomogeneousPolynomial) -> dict:
 
 
 def polynomial_from_json(obj: dict) -> HomogeneousPolynomial:
-    coeffs = {
-        tuple(_int(e, "an exponent") for e in _list_field(t, "exp", "polynomial term")): rat(
-            _field(t, "coeff", "polynomial term")
-        )
-        for t in _list_field(obj, "terms", "polynomial")
-    }
-    return HomogeneousPolynomial(
-        _int_field(obj, "nvars", "polynomial"), _int_field(obj, "degree", "polynomial"), coeffs
-    )
+    terms = _list_field(obj, "terms", "polynomial")
+    nvars = _int_field(obj, "nvars", "polynomial")
+    degree = _int_field(obj, "degree", "polynomial")
+    _known_fields(obj, ("nvars", "degree", "terms"), "polynomial")
+    coeffs = {}
+    for t in terms:
+        exps = _list_field(t, "exp", "polynomial term")
+        coeff = _field(t, "coeff", "polynomial term")
+        _known_fields(t, ("exp", "coeff"), "polynomial term")
+        coeffs[tuple(_int(e, "an exponent") for e in exps)] = rat(coeff)
+    return HomogeneousPolynomial(nvars, degree, coeffs)
 
 
 def form_to_json(matrix) -> dict:
@@ -177,7 +193,9 @@ def form_to_json(matrix) -> dict:
 
 def form_from_json(obj: dict):
     n = _int_field(obj, "n", "matrix")
-    rows = tuple(vector_from_json(row) for row in _list_field(obj, "rows", "matrix"))
+    rows = _list_field(obj, "rows", "matrix")
+    _known_fields(obj, ("n", "rows"), "matrix")
+    rows = tuple(vector_from_json(row) for row in rows)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise CoconvexError("matrix rows do not match the declared size")
     return rows

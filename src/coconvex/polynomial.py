@@ -18,7 +18,7 @@ from operator import mul
 from .dd import independent_rows, scaled_inverse
 from .errors import DimensionMismatch, EmptyInput
 from .linalg import over_common_denominator
-from .rational import Rat, ZERO
+from .rational import Rat, ZERO, rat
 
 
 def monomial_exponents(nvars: int, degree: int):
@@ -55,7 +55,7 @@ class HomogeneousPolynomial:
         clean = {}
         for exps, c in (coeffs or {}).items():
             exps = tuple(exps)
-            c = Rat(c)
+            c = rat(c)
             if c == 0:
                 continue
             if len(exps) != nvars or any(e < 0 for e in exps) or sum(exps) != degree:
@@ -84,7 +84,7 @@ class HomogeneousPolynomial:
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise DimensionMismatch("point has the wrong number of coordinates")
-        pt = [Rat(x) for x in point]
+        pt = [rat(x) for x in point]
         total = ZERO
         for exps, c in self.coeffs.items():
             term = c
@@ -115,7 +115,7 @@ class HomogeneousPolynomial:
             raise DimensionMismatch("direction has the wrong number of coordinates")
         out = HomogeneousPolynomial(self.nvars, max(self.degree - 1, 0))
         for i, v in enumerate(vector):
-            v = Rat(v)
+            v = rat(v)
             if v != 0:
                 out = out + self.partial(i).scale(v)
         return out
@@ -127,7 +127,7 @@ class HomogeneousPolynomial:
         return self.coeffs.get((0,) * self.nvars, ZERO)
 
     def scale(self, factor) -> "HomogeneousPolynomial":
-        factor = Rat(factor)
+        factor = rat(factor)
         return HomogeneousPolynomial(
             self.nvars, self.degree, {e: c * factor for e, c in self.coeffs.items()}
         )
@@ -193,7 +193,7 @@ def fit_homogeneous(nvars: int, degree: int, points, value_fn) -> HomogeneousPol
     if len(picked) < len(monomials):
         raise ArithmeticError("candidate points cannot determine the polynomial")
     inverse, d = scaled_inverse([row for _, row in picked])
-    nums, den = over_common_denominator([Rat(value_fn(points[i])) * scales[i] for i, _ in picked])
+    nums, den = over_common_denominator([rat(value_fn(points[i])) * scales[i] for i, _ in picked])
     den *= d
     return HomogeneousPolynomial(
         nvars,
@@ -230,7 +230,7 @@ def signature(matrix) -> Signature:
     counts are those guaranteed by Sylvester's law, free of rounding.
     """
     n = len(matrix)
-    m = [[Rat(x) for x in row] for row in matrix]
+    m = [[rat(x) for x in row] for row in matrix]
     for row in m:
         if len(row) != n:
             raise DimensionMismatch("matrix is not square")

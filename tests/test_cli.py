@@ -226,7 +226,7 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, payload):
     "exc",
     [
         ArithmeticError("root comparison did not separate from zero"),
-        AssertionError("rank drop in reduced constraint system"),
+        AssertionError("chosen rows and lineality basis are dependent"),
     ],
     ids=["ArithmeticError", "AssertionError"],
 )

@@ -37,6 +37,13 @@ _TEXT_INPUTS = {
     "form-2.json": '{"n": 2, "rows": [["2", "-1/2"], ["-1/2", "3"]]}',
     "form-3.json": '{"n": 3, "rows": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-4/3"]]}',
     "config.json": '{"dim": 2, "n_trials": 1, "suite": ["kernel", "mink1"]}',
+    # a convex family whose "marked" is misspelled, and one whose "dim"
+    # differs from its generators'
+    "marekd.json": '{"dim": 3, "generators": [{"dim": 3, "vertices": '
+    '[[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]]}, {"dim": 3, "vertices": '
+    '[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 3]]}], "marekd": [["1", "3"]]}',
+    "wrong-dim.json": '{"dim": 7, "generators": [{"dim": 3, "vertices": '
+    '[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}',
 }
 
 # (argv, sha256 of [exit code, stdout, stderr(, --out file)]).
@@ -139,6 +146,10 @@ CASES = [
         "b2d375dc0a259db75bde66d1a3847d82cb263cafc5945885a687264ec38682ce"),
     ("lift-verify float.json",
         "db68e6e8a3d17da8327ddc8c4dca36c7e1565b379cbaf83ebc5cd3c45631e6be"),
+    ("afform marekd.json",
+        "a505a32bc2983ea28b6fd62a43d67349f6ab52f97b4f948e1f387a064c3c424c"),
+    ("afform wrong-dim.json",
+        "b6fb0da1808459151a8926bfcadc4ee8b14b07aa1a75ef332d1d26010c068d8a"),
     ("volume body-2.json --out missing-dir/out.json",
         "8c7eec8b5c56a5d0704b9c58dd0b6ed190f408988771ecc093ee42593fea6f4a"),
     ("gen body --out missing-dir/out.json",

@@ -32,11 +32,19 @@ from coconvex.errors import (
 from coconvex.forms import (
     co_combination_body,
     combination_body,
+    cs_check,
+    form_apply,
+    generalized_rbm_check,
     make_coconvex_family,
     make_convex_family,
+    mink1_check,
+    mink2_check,
+    polynomial_af_forms,
+    reversed_bm_check,
+    reversed_cs_check,
 )
 from coconvex.lift import lift, lifted_body, lifted_body_materialized, verify_identity_V
-from coconvex.polynomial import HomogeneousPolynomial
+from coconvex.polynomial import HomogeneousPolynomial, fit_homogeneous, signature
 from coconvex.polytope import Halfspace, convex_hull, volume
 from coconvex.rational import Rat
 
@@ -125,6 +133,21 @@ def test_truncation_validation(corner_triangle):
         lambda square, body: verify_identity_V(
             _lifted(body, 2), HomogeneousPolynomial(2, 2, {}), samples=[((1, 1), 100.5)]
         ),
+        lambda square, body: HomogeneousPolynomial(2, 2, {(2, 0): 0.1}),
+        lambda square, body: _QUADRATIC.evaluate((0.1, 1)),
+        lambda square, body: _QUADRATIC.directional((True, 0)),
+        lambda square, body: _QUADRATIC.scale(0.1),
+        lambda square, body: signature(((0.1, 0), (0, 1))),
+        lambda square, body: form_apply(_IDENTITY, (0.1, 1), (1, 1)),
+        lambda square, body: cs_check(_IDENTITY, (True, 1), (1, 1)),
+        lambda square, body: reversed_cs_check(((1, 0), (0, -1)), (1, 0.5), (1, 0)),
+        lambda square, body: polynomial_af_forms(_CUBIC, [(0.5, 1)]),
+        lambda square, body: reversed_bm_check(_QUADRATIC, (1, 1), (1, 2), 0.5),
+        lambda square, body: generalized_rbm_check(_CUBIC, [(0.5, 1)], (1, 1), (1, 2)),
+        lambda square, body: generalized_rbm_check(_CUBIC, [(1, 1)], (True, 1), (1, 2)),
+        lambda square, body: mink1_check(_QUADRATIC, (0.5, 1), (1, 2)),
+        lambda square, body: mink2_check(_QUADRATIC, (1, 1), (True, 2)),
+        lambda square, body: fit_homogeneous(1, 1, [(1,), (2,)], lambda p: 0.5),
     ],
     ids=[
         "translate_float",
@@ -143,6 +166,21 @@ def test_truncation_validation(corner_triangle):
         "lifted_body_float_t",
         "materialized_float_t",
         "identity_V_float_t",
+        "polynomial_float_coeff",
+        "evaluate_float",
+        "directional_bool",
+        "polynomial_scale_float",
+        "signature_float",
+        "form_apply_float",
+        "cs_check_bool",
+        "reversed_cs_check_float",
+        "af_forms_float_marked",
+        "rbm_float_t",
+        "grbm_float_direction",
+        "grbm_bool_u",
+        "mink1_float_u",
+        "mink2_bool_v",
+        "fit_float_value",
     ],
 )
 def test_constructors_refuse_floats_and_bools(unit_square, corner_triangle, build):
@@ -152,6 +190,11 @@ def test_constructors_refuse_floats_and_bools(unit_square, corner_triangle, buil
     with pytest.raises(ValueError) as err:
         build(unit_square, corner_triangle)
     assert not isinstance(err.value, CoconvexError)
+
+
+_IDENTITY = ((1, 0), (0, 1))
+_QUADRATIC = HomogeneousPolynomial(2, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+_CUBIC = HomogeneousPolynomial(2, 3, {(3, 0): 1, (2, 1): 1, (0, 3): 1})
 
 
 def _tetrahedron():

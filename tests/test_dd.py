@@ -3,6 +3,7 @@ change, so its edge cases get direct coverage here."""
 
 from random import Random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,22 @@ def test_kernel_builds_no_rationals(monkeypatch):
     assert set(rays) == {(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)}
 
 
+# Seven rows of rank 2 in dim 4: a, b, a + b, a again, -a, 2a - b and 2b.
+RANK_TWO_SEVEN_ROWS = (
+    [(1, 0, 2, -1), (0, 1, 1, 1), (1, 1, 3, 0), (1, 0, 2, -1), (-1, 0, -2, 1),
+     (2, -1, 3, -3), (0, 2, 2, 2)],
+    4,
+)
+# The homogenized vertices (1, x, y, 0) of a planar quadrilateral: rank 3
+# in dim 4, so the last coordinate spans the lineality space.
+QUADRILATERAL_VERTICES = ([(1, 0, 0, 0), (1, 2, 0, 0), (1, 3, 2, 0), (1, 0, 1, 0)], 4)
+# Seven rows of full rank 5.
+FULL_RANK_SEVEN_ROWS = (
+    [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+     (0, 0, 0, 0, 1), (1, 1, 1, 1, -1), (1, -1, 1, -1, 1)],
+    5,
+)
+
 entry = st.one_of(
     st.integers(-4, 4),
     st.builds(Rat, st.integers(-4, 4), st.integers(1, 4)),
@@ -114,6 +131,14 @@ def cone_inputs(draw):
     return draw(st.permutations(rows + extra)), dim
 
 
+def test_singular_start_is_an_invariant_failure(monkeypatch):
+    # A lineality basis that overlapped the row space would leave the
+    # stacked start singular; the kernel says so instead of inverting it.
+    monkeypatch.setattr(dd, "_lineality", lambda rows, dim: [rows[0]])
+    with pytest.raises(AssertionError, match="dependent"):
+        cone_extreme_rays([(1, 0)], 2)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(cone_inputs())
 @example(([], 3))  # no rows
@@ -121,8 +146,9 @@ def cone_inputs(draw):
 @example(([(1, 0, 0), (Rat(-1, 2), 0, 0), (0, 1, 1)], 3))  # 0 < r < dim
 @example(([(1, 0), (-1, 0), (0, 1), (0, -1)], 2))  # only the origin
 @example(([(1, 1, 0), (0, 1, 1), (1, 0, 1), (-2, -2, -2)], 3))  # only the origin
-@example(([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
-           (0, 0, 0, 0, 1), (1, 1, 1, 1, -1), (1, -1, 1, -1, 1)], 5))
+@example(FULL_RANK_SEVEN_ROWS)
+@example(RANK_TWO_SEVEN_ROWS)
+@example(QUADRILATERAL_VERTICES)
 def test_matches_rational_kernel(case):
     rows, dim = case
     assert cone_extreme_rays(rows, dim)[:2] == reference_cone_extreme_rays(rows, dim)
@@ -137,6 +163,8 @@ def test_matches_rational_kernel(case):
 @example(([(1, 1, 0), (0, 1, 1), (1, 0, 1), (-2, -2, -2)], 3), 3)  # only the origin
 @example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (2, 2, -2), (0, 0, 0)], 3), 4)
 @example(([(1, 0), (0, 1), (2, 0), (0, 0)], 2), 5)  # incidence [0b01, 0b10, 0b01, 0b11]
+@example(RANK_TWO_SEVEN_ROWS, 6)
+@example(QUADRILATERAL_VERTICES, 7)
 def test_incidence_matches_dot_products(case, seed):
     # The kernel's incidence is the oracle's per-row dot-product masks on
     # the returned rays, and it follows the rows through a permutation
@@ -162,10 +190,25 @@ def test_incidence_matches_dot_products(case, seed):
         )
     )
 )
-def test_row_space_is_the_rational_rref(case):
-    # The row-space basis is the reduced row echelon form made primitive,
-    # and the lineality basis is the rational nullspace basis.
+def test_lineality_is_the_rational_nullspace(case):
+    # The lineality basis read off the fraction-free echelon is the rational
+    # nullspace basis, vector for vector.
     rows, dim = case
-    w_basis, lineality = dd._row_space(rows, dim)
-    assert w_basis == [linalg.primitive_integer(r) for r in linalg.rref(rows, dim)[0]]
-    assert lineality == linalg.nullspace_basis(rows, dim)
+    assert dd._lineality(rows, dim) == linalg.nullspace_basis(rows, dim)
+
+
+def test_kernel_eliminates_at_most_dim_rows(monkeypatch):
+    # Only the chosen independent rows, stacked over the lineality basis,
+    # are eliminated; the rows the insertion adds are never part of one.
+    counts = []
+    eliminate = dd._gauss_jordan
+
+    def recording(rows, ncols):
+        counts.append(len(rows))
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(dd, "_gauss_jordan", recording)
+    for rows, dim in (FULL_RANK_SEVEN_ROWS, RANK_TWO_SEVEN_ROWS):
+        counts.clear()
+        assert cone_extreme_rays(rows, dim)[:2] == reference_cone_extreme_rays(rows, dim)
+        assert counts and max(counts) <= dim

@@ -67,6 +67,41 @@ def test_polyhedron_rejects_unknown_fields(unit_square, quadrant):
         polyhedron_from_json(cone_to_json(quadrant))
 
 
+_SIMPLEX = {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+_QUADRANT = {"rays": [[1, 0], [0, 1]], "xi": [1, 1]}
+_CORNER = {"dim": 2, "vertices": [[1, 0], [0, 1]], "rays": [[0, 1], [1, 0]]}
+_TERM = {"exp": [1, 0], "coeff": "1"}
+
+
+@pytest.mark.parametrize(
+    "load, obj, message",
+    [
+        (cone_from_json, {**_QUADRANT, "apex": [0, 0]}, r"unknown cone field\(s\): 'apex'$"),
+        (coconvex_from_json, {"cone": _QUADRANT, "complement": _CORNER, "t": "2"},
+         r"unknown coconvex body field\(s\): 't'$"),
+        (convex_family_from_json, {"dim": 3, "generators": [_SIMPLEX], "marekd": [["2"]]},
+         r"unknown convex family field\(s\): 'marekd'$"),
+        (convex_family_from_json, {"dim": 7, "generators": [_SIMPLEX]},
+         r"generator does not have dim = 7$"),
+        (coconvex_family_from_json, {"cone": _QUADRANT, "generators": [_CORNER], "dim": 2},
+         r"unknown coconvex family field\(s\): 'dim'$"),
+        (polynomial_from_json, {"nvars": 2, "degree": 1, "terms": [_TERM], "vars": 2},
+         r"unknown polynomial field\(s\): 'vars'$"),
+        (polynomial_from_json, {"nvars": 2, "degree": 1, "terms": [{**_TERM, "coef": "2"}]},
+         r"unknown polynomial term field\(s\): 'coef'$"),
+        (form_from_json, {"n": 1, "rows": [["1"]], "symmetric": True},
+         r"unknown matrix field\(s\): 'symmetric'$"),
+    ],
+    ids=["cone", "coconvex_body", "convex_family", "convex_family_dim", "coconvex_family",
+         "polynomial", "polynomial_term", "form"],
+)
+def test_loaders_reject_unknown_fields(load, obj, message):
+    # Each object is valid once the offending field is dropped (or, for the
+    # family, 'dim' set to 3), so the error is the field check's.
+    with pytest.raises(CoconvexError, match=message):
+        load(obj)
+
+
 def test_loaded_polyhedron_is_canonicalized():
     # interior points in the serialized form must not survive the load
     obj = {"dim": 2, "vertices": [["0", "0"], ["2", "0"], ["0", "2"], ["1", "1"]], "rays": []}
