@@ -20,7 +20,7 @@ positive factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from math import comb, factorial, prod
@@ -59,6 +59,9 @@ class CoconvexFamily:
     cone: Cone
     generators: tuple[CoconvexBody, ...]
     marked: tuple[tuple, ...]
+    # co_combination_body's memo, keyed by coerced lam: not an argument, and
+    # outside equality, hashing and repr
+    complements: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -198,13 +201,15 @@ def volume_polynomial_interpolated(fam: ConvexFamily) -> HomogeneousPolynomial:
 def co_combination_body(fam: CoconvexFamily, lam) -> CoconvexBody:
     """Coconvex combination with strictly positive coefficients.  Only lam is
     checked: the generators were validated by make_coconvex when built, and
-    such a combination over one cone is coconvex."""
-    lam = [rat(x) for x in lam]
+    such a combination over one cone is coconvex.  Built once per lam."""
+    lam = tuple(rat(x) for x in lam)
     if len(lam) != len(fam.generators):
         raise DimensionMismatch("coefficient vector length differs from generator count")
     if any(x <= 0 for x in lam):
         raise CoconvexError("coconvex combinations need strictly positive coefficients")
-    return CoconvexBody(fam.cone, _combination([g.complement for g in fam.generators], lam))
+    if lam not in fam.complements:
+        fam.complements[lam] = _combination([g.complement for g in fam.generators], lam)
+    return CoconvexBody(fam.cone, fam.complements[lam])
 
 
 def co_volume_polynomial(fam: CoconvexFamily) -> HomogeneousPolynomial:
@@ -257,10 +262,11 @@ def co_af_form(fam: CoconvexFamily):
 
 
 def form_apply(matrix, u, v):
-    """Bilinear pairing u^T M v with exact rationals."""
+    """Bilinear pairing u^T M v with exact rationals (M, u, v all coerced)."""
     n = len(matrix)
     if len(u) != n or len(v) != n:
         raise DimensionMismatch("vector length differs from matrix size")
+    matrix = [[rat(m) for m in row] for row in matrix]
     u = [rat(x) for x in u]
     v = [rat(x) for x in v]
     total = ZERO

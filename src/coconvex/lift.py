@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import _check_cutoff, _check_functional, cone_polyhedron, truncation_threshold
+from .cones import _check_cutoff, cone_polyhedron, truncation_threshold
 from .errors import CoconvexError
 from .forms import CoconvexFamily, co_combination_body, polynomial_af_forms
 from .polynomial import (
@@ -40,10 +40,10 @@ from .rational import Rat, rat, rat_str
 class LiftedFamily:
     """Coconvex base plus the cutoff data that makes lifted bodies convex.
 
-    t0 dominates the complement thresholds of every generator; marked levels
-    sit at t0 + 1.  Combinations with large coefficients push their own
-    thresholds past t0, so each (lam, t) is checked against its own
-    combination rather than against t0.
+    xi is the cone's own functional.  t0 dominates the complement thresholds
+    of every generator; marked levels sit at t0 + 1.  Combinations with
+    large coefficients push their own thresholds past t0, so each (lam, t)
+    is checked against its own combination rather than against t0.
     """
 
     base: CoconvexFamily
@@ -52,10 +52,10 @@ class LiftedFamily:
     lifted_marked: tuple
 
 
-def lift(fam: CoconvexFamily, xi=None) -> LiftedFamily:
-    """Build the lifted family: cutoff functional, threshold, marked levels."""
-    xi = tuple(map(rat, xi)) if xi is not None else fam.cone.xi
-    _check_functional(fam.cone, xi)
+def lift(fam: CoconvexFamily) -> LiftedFamily:
+    """Build the lifted family: the cone's functional (make_cone proved it
+    positive on every ray), threshold, marked levels."""
+    xi = fam.cone.xi
     t0 = max(truncation_threshold(g.complement, xi) for g in fam.generators)
     s = t0 + 1
     return LiftedFamily(fam, xi, t0, tuple((v, s) for v in fam.marked))
@@ -66,16 +66,13 @@ def sector_constant(lf: LiftedFamily):
     return volume(clip(cone_polyhedron(lf.base.cone), Halfspace.make(lf.xi, 1)))
 
 
-def _cut_complement(lf: LiftedFamily, K: Polyhedron, t) -> Polyhedron:
-    """Combination complement K cut at level t, once t clears its vertices."""
+def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
+    """The convex body at (lam, t): combination complement cut at level t,
+    once t clears its vertices."""
+    t = rat(t)
+    K = co_combination_body(lf.base, lam).complement
     _check_cutoff(K, lf.xi, t)
     return clip(K, Halfspace.make(lf.xi, t))
-
-
-def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
-    """The convex body at (lam, t): combination complement cut at level t."""
-    t = rat(t)
-    return _cut_complement(lf, co_combination_body(lf.base, lam).complement, t)
 
 
 def lifted_body_materialized(lf: LiftedFamily, lam, t) -> Polyhedron:
@@ -106,13 +103,10 @@ def lifted_volume_polynomial(lf: LiftedFamily) -> HomogeneousPolynomial:
     per_gen = [truncation_threshold(g.complement, lf.xi) for g in lf.base.generators]
     floor_t = 1 + (d + 1) * sum(per_gen)
     axes = [range(1, d + 2)] * n + [[floor_t + k for k in range(d + 1)]]
-    complements: dict[tuple, Polyhedron] = {}
 
     def value(point):
-        lam, t = point[:n], point[n]
-        if lam not in complements:
-            complements[lam] = co_combination_body(lf.base, lam).complement
-        return volume(clip(complements[lam], Halfspace.make(lf.xi, t)))
+        K = co_combination_body(lf.base, point[:n]).complement
+        return volume(clip(K, Halfspace.make(lf.xi, point[n])))
 
     return fit_homogeneous(n + 1, d, tensor_grid(axes), value)
 
@@ -148,18 +142,15 @@ def recovered_base_polynomial(
 
 
 def _default_samples(lf: LiftedFamily, count: int):
-    """(lam, t, K) per default sample, K the combination complement that
-    fixed t."""
+    """(lam, t) per default sample, t one or two past lam's own threshold."""
     n = len(lf.base.generators)
     out = []
     for j in range(count):
         lam = [1] * n
         if j:
             lam[(j - 1) % n] += 1 + (j - 1) // n
-        lam = tuple(lam)
         K = co_combination_body(lf.base, lam).complement
-        t = truncation_threshold(K, lf.xi) + 1 + (j % 2)
-        out.append((lam, t, K))
+        out.append((tuple(lam), truncation_threshold(K, lf.xi) + 1 + (j % 2)))
     return out
 
 
@@ -173,16 +164,12 @@ def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     c = sector_constant(lf)
     d = lf.base.dim
     if samples is None:
-        cases = _default_samples(lf, 5)
-    else:
-        cases = [(lam, t, None) for lam, t in samples]
+        samples = _default_samples(lf, 5)
     checked = 0
     counterexample = None
-    for lam, t, K in cases:
+    for lam, t in samples:
         lam, t = tuple(map(rat, lam)), rat(t)
-        if K is None:
-            K = co_combination_body(lf.base, lam).complement
-        lhs = volume(_cut_complement(lf, K, t))
+        lhs = volume(lifted_body(lf, lam, t))
         rhs = c * t**d - base_poly.evaluate(lam)
         checked += 1
         if lhs != rhs:

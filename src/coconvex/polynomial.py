@@ -58,7 +58,8 @@ class HomogeneousPolynomial:
             c = rat(c)
             if c == 0:
                 continue
-            if len(exps) != nvars or any(e < 0 for e in exps) or sum(exps) != degree:
+            if (len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps)
+                    or sum(exps) != degree):
                 raise DimensionMismatch(f"exponent tuple {exps} does not fit")
             clean[exps] = c
         self.coeffs = clean

@@ -121,7 +121,6 @@ def test_truncation_validation(corner_triangle):
         lambda square, body: Halfspace.make((0.1, 1), 1),
         lambda square, body: make_cone([(0.5, 1), (1, 0)]),
         lambda square, body: make_cone([(True, 1), (1, 0)]),
-        lambda square, body: lift(make_coconvex_family([body]), xi=(0.5, 1)),
         lambda square, body: co_volume(body, Truncation((1, 1), 2.5)),
         lambda square, body: make_convex_family([_tetrahedron()] * 2, marked=[(0.1, 1)]),
         lambda square, body: combination_body(make_convex_family([square] * 2), (0.5, True)),
@@ -139,6 +138,9 @@ def test_truncation_validation(corner_triangle):
         lambda square, body: _QUADRATIC.scale(0.1),
         lambda square, body: signature(((0.1, 0), (0, 1))),
         lambda square, body: form_apply(_IDENTITY, (0.1, 1), (1, 1)),
+        lambda square, body: form_apply(((0.5, 0), (0, 1)), (1, 0), (1, 0)),
+        lambda square, body: form_apply(((True, 0), (0, 1)), (1, 0), (1, 0)),
+        lambda square, body: cs_check(((0.1, 0), (0, 1)), (1, 1), (1, 0)),
         lambda square, body: cs_check(_IDENTITY, (True, 1), (1, 1)),
         lambda square, body: reversed_cs_check(((1, 0), (0, -1)), (1, 0.5), (1, 0)),
         lambda square, body: polynomial_af_forms(_CUBIC, [(0.5, 1)]),
@@ -156,7 +158,6 @@ def test_truncation_validation(corner_triangle):
         "halfspace_float",
         "cone_float_ray",
         "cone_bool_ray",
-        "lift_float_xi",
         "truncation_float_t",
         "marked_float",
         "combination_float",
@@ -172,6 +173,9 @@ def test_truncation_validation(corner_triangle):
         "polynomial_scale_float",
         "signature_float",
         "form_apply_float",
+        "form_apply_float_matrix",
+        "form_apply_bool_matrix",
+        "cs_check_float_matrix",
         "cs_check_bool",
         "reversed_cs_check_float",
         "af_forms_float_marked",

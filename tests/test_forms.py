@@ -17,6 +17,7 @@ from coconvex.errors import (
     UnboundedPolyhedron,
 )
 from coconvex.forms import (
+    CoconvexFamily,
     af_form,
     co_af_form,
     co_combination_body,
@@ -360,6 +361,18 @@ def test_co_combination_requires_positive_weights(skew_pair):
         co_combination_body(skew_pair, (1, 0))
     with pytest.raises(CoconvexError):
         co_combination_body(skew_pair, (0, 0))
+
+
+def test_family_memo_is_not_a_field(corner_triangle):
+    fam = make_coconvex_family([corner_triangle] * 2)
+    with pytest.raises(TypeError):
+        CoconvexFamily(fam.cone, fam.generators, fam.marked, complements={})
+    twin = CoconvexFamily(fam.cone, fam.generators, fam.marked)
+    # the memo is keyed by the coerced lam, so "2" and 2 share one entry
+    body = co_combination_body(fam, (1, 2))
+    assert co_combination_body(fam, (Rat(1), "2")).complement is body.complement
+    assert list(fam.complements) == [(1, 2)] and twin.complements == {}
+    assert fam == twin and hash(fam) == hash(twin) and repr(fam) == repr(twin)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -54,21 +54,6 @@ def test_lift_marked_levels(simplex_lift):
     assert simplex_lift.lifted_marked == (((1,), 2),)
 
 
-def test_lift_rejects_bad_functional(corner_triangle):
-    fam = make_coconvex_family([corner_triangle])
-    with pytest.raises(InvalidTruncation):
-        lift(fam, xi=(1, -1))
-
-
-def test_lift_rejects_functional_of_wrong_length(corner_simplex):
-    # a positive prefix is not enough: dot would zip (1, 1, 1, 5) down to
-    # the cone's three coordinates and accept it
-    fam = make_coconvex_family([corner_simplex])
-    for xi in [(1, 1, 1, 5), (1, 1)]:
-        with pytest.raises(DimensionMismatch):
-            lift(fam, xi=xi)
-
-
 def test_sector_constant(triangle_lift, simplex_lift):
     assert sector_constant(triangle_lift) == Rat(1, 2)
     assert sector_constant(simplex_lift) == Rat(1, 6)
@@ -143,15 +128,10 @@ def test_identity_V(triangle_lift, pair_lift, simplex_lift):
         assert report["samples"] >= 5
 
 
-def test_default_V_builds_each_complement_once(monkeypatch):
-    # d = 3, n = 2: each complement is one sum; five default samples used to
-    # cost ten, one for the threshold and one again for the lifted body.
+def test_routes_build_each_complement_once(monkeypatch):
+    # d = 3, n = 2: each complement is one sum, and the base grid, the lifted
+    # grid and the five default V samples ask six distinct lam between them.
     fam = gen_coconvex_family(SplitMix64(5), 3, 2, 3)
-    lf = lift(fam)
-    base = co_volume_polynomial(fam)
-    # the package re-exports the function lift, which hides the module
-    samples = import_module("coconvex.lift")._default_samples(lf, 5)
-    explicit = verify_identity_V(lf, base, [(lam, t) for lam, t, _ in samples])
     calls = []
 
     def counting(P, Q):
@@ -159,9 +139,17 @@ def test_default_V_builds_each_complement_once(monkeypatch):
         return minkowski_sum(P, Q)
 
     monkeypatch.setattr(import_module("coconvex.forms"), "minkowski_sum", counting)
+    lf = lift(fam)
+    base = co_volume_polynomial(fam)
+    lifted_volume_polynomial(lf)
     report = verify_identity_V(lf, base)
-    assert len(calls) == 5
-    assert report == explicit and report["status"] == "ok" and report["samples"] == 5
+    assert report["status"] == "ok" and report["samples"] == 5
+    assert len(calls) == len(fam.complements) == 6
+    # caller samples run the same loop; the package re-exports the function
+    # lift, which hides the module
+    samples = import_module("coconvex.lift")._default_samples(lf, 5)
+    assert verify_identity_V(lf, base, samples) == report
+    assert len(calls) == 6
 
 
 def test_identity_V_detects_wrong_base(triangle_lift):

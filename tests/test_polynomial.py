@@ -47,6 +47,13 @@ def test_evaluate(quadratic):
     assert quadratic.evaluate((Rat(1, 2), Rat(1, 3))) == Rat(1, 4) + Rat(5, 6) + Rat(6, 9)
 
 
+@pytest.mark.parametrize("exps", [(1.0, 1.0), (1.5, 0.5), (True, 1)])
+def test_exponents_must_be_ints(exps):
+    # each tuple sums to the degree; (1.5, 0.5) would evaluate as a root
+    with pytest.raises(DimensionMismatch):
+        HomogeneousPolynomial(2, 2, {exps: 1})
+
+
 def test_zero_coefficients_are_dropped():
     P = HomogeneousPolynomial(2, 2, {(2, 0): 0, (1, 1): 1})
     assert (2, 0) not in P.coeffs
