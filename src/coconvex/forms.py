@@ -110,16 +110,54 @@ def make_coconvex_family(generators, marked=None) -> CoconvexFamily:
     return CoconvexFamily(cone, generators, _checked_marked(marked, len(generators), cone.dim))
 
 
+def _polarized(bodies, counts, sums):
+    """Mixed volume of bodies[i] taken counts[i] times.
+
+    Inclusion-exclusion over Minkowski subset sums.  A subset sum depends
+    only on how many copies of each body it takes, so `sums` maps that
+    multiplicity key to (body, volume), and each key is built and measured
+    once for as long as the caller keeps the table: a single body taken c
+    times is its dilate by c (c * P = P + ... + P for convex P), whose
+    volume is c**d times the body's by homogeneity, and any other key is
+    one minkowski_sum onto the key with one copy fewer of its last body.
+    Each key's volume is weighted by the number of subsets with that key.
+    Trusted: bodies are bounded, nonempty, of dimension sum(counts).
+    """
+
+    def measured(key):
+        # lexicographic order has already tabled the key this one extends
+        if key not in sums:
+            used = [i for i, c in enumerate(key) if c]
+            last = used[-1]
+            P, c = bodies[last], key[last]
+            if len(used) > 1:
+                fewer = key[:last] + (c - 1,) + key[last + 1 :]
+                body = minkowski_sum(sums[fewer][0], P)
+                sums[key] = (body, volume(body))
+            elif c == 1:
+                sums[key] = (P, volume(P))
+            else:
+                unit = tuple(int(i == last) for i in range(len(key)))
+                sums[key] = (P.scale(c), c**P.dim * sums[unit][1])
+        return sums[key][1]
+
+    if sum(1 for c in counts if c) == 1:
+        return measured(tuple(int(c > 0) for c in counts))
+    d = sum(counts)
+    total = ZERO
+    for key in product(*(range(c + 1) for c in counts)):
+        k = sum(key)
+        if k:
+            term = prod(map(comb, counts, key)) * measured(key)
+            total = total - term if (d - k) % 2 else total + term
+    return total / factorial(d)
+
+
 def mixed_volume(bodies):
     """Fully polarized volume of d bodies in dimension d.
 
-    Inclusion-exclusion over Minkowski subset sums.  A subset sum depends
-    only on how many copies of each distinct body it takes, so sums are
-    keyed by that multiplicity vector and each is assembled once: a single
-    body taken c times is its dilate by c (c * P = P + ... + P for convex
-    P), and any other key is one minkowski_sum onto the key with one copy
-    fewer of its last body.  Each key's volume is measured once, weighted
-    by the number of subsets with that multiplicity vector.
+    Inclusion-exclusion over Minkowski subset sums keyed by multiplicity
+    (`_polarized`), with a table that lives for this call only.
     """
     bodies = tuple(bodies)
     if not bodies:
@@ -134,27 +172,9 @@ def mixed_volume(bodies):
             raise UnboundedPolyhedron("mixed volume needs bounded bodies")
         if P.is_empty:
             raise EmptyInput("mixed volume of an empty body")
-    if all(P == bodies[0] for P in bodies[1:]):
-        return volume(bodies[0])
     distinct = list(dict.fromkeys(bodies))
     counts = [bodies.count(P) for P in distinct]
-    # Lexicographic order builds each key after the key it extends.
-    sums: dict[tuple, Polyhedron] = {}
-    total = ZERO
-    for key in product(*(range(c + 1) for c in counts)):
-        used = [i for i, c in enumerate(key) if c]
-        if not used:
-            continue
-        last = used[-1]
-        if len(used) == 1:
-            body = distinct[last] if key[last] == 1 else distinct[last].scale(key[last])
-        else:
-            fewer = key[:last] + (key[last] - 1,) + key[last + 1 :]
-            body = minkowski_sum(sums[fewer], distinct[last])
-        sums[key] = body
-        term = prod(map(comb, counts, key)) * volume(body)
-        total = total - term if (d - sum(key)) % 2 else total + term
-    return total / factorial(d)
+    return _polarized(distinct, counts, {})
 
 
 def _combination(bodies, lam) -> Polyhedron:
@@ -175,14 +195,14 @@ def combination_body(fam: ConvexFamily, lam) -> Polyhedron:
 
 def volume_polynomial(fam: ConvexFamily) -> HomogeneousPolynomial:
     """Degree-d homogeneous polynomial whose value at positive lam is the
-    volume of the lam-combination; coefficients come from mixed volumes."""
+    volume of the lam-combination; coefficients come from mixed volumes.
+    All monomials share one table of subset sums (`_polarized`), so each
+    sum of generator multiples is built and measured once per call."""
     n = len(fam.generators)
+    sums: dict[tuple, tuple] = {}
     coeffs = {}
     for exps in monomial_exponents(n, fam.dim):
-        picked = []
-        for gen, e in zip(fam.generators, exps):
-            picked.extend([gen] * e)
-        mv = mixed_volume(picked)
+        mv = _polarized(fam.generators, exps, sums)
         if mv != 0:
             coeffs[exps] = multinomial(exps) * mv
     return HomogeneousPolynomial(n, fam.dim, coeffs)

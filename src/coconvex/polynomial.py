@@ -55,13 +55,12 @@ class HomogeneousPolynomial:
         clean = {}
         for exps, c in (coeffs or {}).items():
             exps = tuple(exps)
-            c = rat(c)
-            if c == 0:
-                continue
             if (len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps)
                     or sum(exps) != degree):
                 raise DimensionMismatch(f"exponent tuple {exps} does not fit")
-            clean[exps] = c
+            c = rat(c)
+            if c != 0:
+                clean[exps] = c
         self.coeffs = clean
 
     def __eq__(self, other):

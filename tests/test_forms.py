@@ -37,8 +37,18 @@ from coconvex.forms import (
     volume_polynomial,
     volume_polynomial_interpolated,
 )
-from coconvex.harness import SplitMix64, gen_coconvex_family, gen_positive_vector
-from coconvex.polynomial import HomogeneousPolynomial, signature
+from coconvex.harness import (
+    SplitMix64,
+    gen_coconvex_family,
+    gen_convex_family,
+    gen_positive_vector,
+)
+from coconvex.polynomial import (
+    HomogeneousPolynomial,
+    monomial_exponents,
+    multinomial,
+    signature,
+)
 from coconvex.polytope import convex_hull, minkowski_sum, volume
 from coconvex.rational import Rat
 
@@ -219,6 +229,49 @@ def test_volume_polynomial_interpolation_agrees_3d():
     bodies = [axis_box((1, 2, 1)), convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])]
     fam = make_convex_family(bodies)
     assert volume_polynomial(fam) == volume_polynomial_interpolated(fam)
+
+
+def _per_monomial_polynomial(fam):
+    """Oracle: each coefficient from its own position-subset mixed volume."""
+    n, d = len(fam.generators), fam.dim
+    coeffs = {}
+    for exps in monomial_exponents(n, d):
+        picked = [P for P, e in zip(fam.generators, exps) for _ in range(e)]
+        coeffs[exps] = multinomial(exps) * plain_mixed_volume(picked)
+    return HomogeneousPolynomial(n, d, coeffs)
+
+
+@given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(0, 2**32))
+@settings(deadline=None, max_examples=25)
+def test_shared_table_polynomial_matches_per_monomial_oracle(d, n, seed):
+    fam = gen_convex_family(SplitMix64(seed), d, n, 3)
+    assert volume_polynomial(fam) == _per_monomial_polynomial(fam)
+
+
+@pytest.mark.parametrize("n, want_sums", [(2, 3), (3, 10)])
+def test_volume_polynomial_builds_and_measures_each_sum_once(monkeypatch, n, want_sums):
+    # At d = 3 the sums are the keys with at least two generators: P+Q,
+    # 2P+Q and P+2Q for n = 2 (one table instead of one per monomial, which
+    # built P+Q twice).  Dilates get their volume by homogeneity, so only
+    # generators and true sums are measured, each once.
+    fam = gen_convex_family(SplitMix64(11), 3, n, 3)
+    want = _per_monomial_polynomial(fam)
+    sums, measured = [], []
+
+    def counting_sum(P, Q):
+        sums.append(minkowski_sum(P, Q))
+        return sums[-1]
+
+    def counting_volume(P):
+        measured.append(P)
+        return volume(P)
+
+    monkeypatch.setattr(forms, "minkowski_sum", counting_sum)
+    monkeypatch.setattr(forms, "volume", counting_volume)
+    assert volume_polynomial(fam) == want
+    assert len(sums) == want_sums
+    assert [id(P) for P in measured] == list(dict.fromkeys(id(P) for P in measured))
+    assert {id(P) for P in measured} == {id(P) for P in (*fam.generators, *sums)}
 
 
 def test_combination_body_rules(square_and_box):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coconvex.cones import co_scale, make_coconvex, make_cone
-from coconvex.errors import CoconvexError
+from coconvex.errors import CoconvexError, DimensionMismatch
 from coconvex.forms import make_coconvex_family, make_convex_family
 from coconvex.jsonio import (
     coconvex_family_from_json,
@@ -195,4 +195,11 @@ def test_missing_fields_raise_coconvex_errors():
 )
 def test_polynomial_from_json_is_strict(obj):
     with pytest.raises(ValueError, match="must be|not an exact rational"):
+        polynomial_from_json(obj)
+
+
+def test_polynomial_from_json_refuses_a_zero_term_of_wrong_degree():
+    # with coefficient 1 the same term is refused; a zero must not hide it
+    obj = {"nvars": 2, "degree": 2, "terms": [{"exp": [5, 0], "coeff": "0"}]}
+    with pytest.raises(DimensionMismatch):
         polynomial_from_json(obj)

@@ -54,6 +54,17 @@ def test_exponents_must_be_ints(exps):
         HomogeneousPolynomial(2, 2, {exps: 1})
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [{(1.5, 0.5): 0}, {(-1, 3): 0}, {(5, 0): 0, (1, 1): 1}],
+    ids=["float_exps", "negative_exp", "wrong_degree"],
+)
+def test_zero_coefficient_does_not_hide_a_bad_exponent_tuple(coeffs):
+    # the shape is checked before a zero coefficient is dropped
+    with pytest.raises(DimensionMismatch):
+        HomogeneousPolynomial(2, 2, coeffs)
+
+
 def test_zero_coefficients_are_dropped():
     P = HomogeneousPolynomial(2, 2, {(2, 0): 0, (1, 1): 1})
     assert (2, 0) not in P.coeffs
