@@ -75,6 +75,7 @@ from .lift import (
     lift,
     lifted_body,
     lifted_volume_polynomial,
+    quadratic_blocks,
     recovered_base_polynomial,
     sector_constant,
     verify_identity_Q,

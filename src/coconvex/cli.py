@@ -60,6 +60,7 @@ from .jsonio import (
 from .lift import (
     lift,
     lifted_volume_polynomial,
+    quadratic_blocks,
     verify_identity_Q,
     verify_identity_V,
     verify_signature_argument,
@@ -132,11 +133,11 @@ def _lift_verify(args):
     fam = _family(read_json_file(args.file), True, "lift-verify expects a coconvex family")
     lf = lift(fam)
     base = co_volume_polynomial(fam)
-    poly = lifted_volume_polynomial(lf)
+    q_lift, q_base = quadratic_blocks(lf, lifted_volume_polynomial(lf), base)
     reports = {
         "V": verify_identity_V(lf, base),
-        "Q": verify_identity_Q(lf, poly, base),
-        "signature": verify_signature_argument(lf, poly, base),
+        "Q": verify_identity_Q(lf, q_lift, q_base),
+        "signature": verify_signature_argument(lf, q_lift, q_base),
     }
     ok = all(r["status"] == "ok" for r in reports.values())
     return {"reports": reports, "status": "ok" if ok else "fail"}, 0 if ok else 1

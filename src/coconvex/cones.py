@@ -29,6 +29,7 @@ from .polytope import (
     CACHE_MAXSIZE,
     Halfspace,
     Polyhedron,
+    _lattice_scaled,
     _maximal_masks,
     _sorted_halfspaces,
     clip,
@@ -129,9 +130,11 @@ def truncation_threshold(complement: Polyhedron, xi) -> Rat:
     """Largest xi-value over the complement's vertices.
 
     Every point of the carved-out region has xi-value at most this level,
-    so any strictly larger cutoff captures the whole region.
+    so any strictly larger cutoff captures the whole region.  Scaled onto
+    the lattice, the vertices give integer dot products and one Rat.
     """
-    return max(Rat(dot(xi, v)) for v in complement.vertices)
+    L, scaled = _lattice_scaled(complement.vertices)
+    return Rat(max(dot(xi, v) for v in scaled), L)
 
 
 def synthesize_truncation(body: CoconvexBody) -> Truncation:

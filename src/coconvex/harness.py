@@ -21,6 +21,7 @@ from .forms import (
     CoconvexFamily,
     ConvexFamily,
     af_form,
+    co_af_form,
     co_volume_polynomial,
     cs_check,
     generalized_rbm_check,
@@ -28,7 +29,6 @@ from .forms import (
     make_convex_family,
     mink1_check,
     mink2_check,
-    polynomial_af_forms,
     reversed_bm_check,
     reversed_cs_check,
     volume_polynomial,
@@ -45,6 +45,7 @@ from .jsonio import (
 from .lift import (
     lift,
     lifted_volume_polynomial,
+    quadratic_blocks,
     verify_identity_Q,
     verify_identity_V,
     verify_signature_argument,
@@ -248,14 +249,16 @@ def _trial_kernel(rng, cfg):
         bodies = [polyhedron_to_json(K1), polyhedron_to_json(K2)]
         return _counterexample("polarization_vs_interpolation", bodies=bodies)
     shift = gen_point(rng, d, bound)
-    if volume(translate(K1, shift)) != volume(K1):
+    v1 = volume(K1)
+    if volume(translate(K1, shift)) != v1:
         return _counterexample("translation_invariance", body=polyhedron_to_json(K1))
     lam = Rat(rng.int_between(1, 3), rng.int_between(1, 3))
-    if volume(K1.scale(lam)) != lam**d * volume(K1):
+    if volume(K1.scale(lam)) != lam**d * v1:
         return _counterexample("scale_homogeneity", body=polyhedron_to_json(K1))
-    if minkowski_sum(K1, K2) != minkowski_sum(K2, K1):
+    K12 = minkowski_sum(K1, K2)
+    if K12 != minkowski_sum(K2, K1):
         return _counterexample("minkowski_commutativity")
-    v1, v2, v12 = volume(K1), volume(K2), volume(minkowski_sum(K1, K2))
+    v2, v12 = volume(K2), volume(K12)
     if compare_root_sum([(Rat(1), v12), (Rat(-1), v1), (Rat(-1), v2)], d) < 0:
         bodies = [polyhedron_to_json(K1), polyhedron_to_json(K2)]
         return _counterexample("brunn_minkowski", bodies=bodies)
@@ -292,7 +295,7 @@ def _trial_af(rng, cfg):
 
 def _trial_co_af(rng, cfg):
     fam = gen_coconvex_family(rng, cfg.dim, cfg.n_generators, cfg.coordinate_bound)
-    B, Q = polynomial_af_forms(co_volume_polynomial(fam), fam.marked)
+    B, Q = co_af_form(fam)
     sig = signature(Q)
     if sig.neg != 0:
         return _counterexample(
@@ -344,6 +347,10 @@ def _lift_trial(which, verify):
     return run
 
 
+def _blocks(lf, P):
+    return quadratic_blocks(lf, lifted_volume_polynomial(lf), P)
+
+
 # Every suite, in report order.  A trial takes its own substream and the
 # config and returns None when every check holds, else a counterexample.
 # Checkers are named inside lambdas, so they are looked up when a trial
@@ -376,13 +383,9 @@ SUITES = {
         lambda P, case: mink2_check(P, *case),
         ("u", "v"),
     ),
-    "lift_V": _lift_trial("V", lambda lf, base: verify_identity_V(lf, base)),
-    "lift_Q": _lift_trial(
-        "Q", lambda lf, base: verify_identity_Q(lf, lifted_volume_polynomial(lf), base)
-    ),
-    "lift_sig": _lift_trial(
-        "sig", lambda lf, base: verify_signature_argument(lf, lifted_volume_polynomial(lf), base)
-    ),
+    "lift_V": _lift_trial("V", lambda lf, P: verify_identity_V(lf, P)),
+    "lift_Q": _lift_trial("Q", lambda lf, P: verify_identity_Q(lf, *_blocks(lf, P))),
+    "lift_sig": _lift_trial("sig", lambda lf, P: verify_signature_argument(lf, *_blocks(lf, P))),
 }
 
 ALL_SUITES = tuple(SUITES)

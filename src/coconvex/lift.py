@@ -11,18 +11,19 @@ families together:
     (Q)  lifted quadratic matrix      = blockdiag(-base quadratic, 2 c')
 
 with c the volume of the unit cone sector and c' = c times the product of
-the marked levels.  The verifiers below compare exactly the two sides, which
-the caller computes once through independent code paths: the lifted
-polynomial with lifted_volume_polynomial, the base one with
-forms.co_volume_polynomial.  The signature bookkeeping that turns (Q) into
-nonnegativity of the base form is checked last.
+the marked levels, both computed once, in `lift`.  The verifiers compare
+exactly the two sides, which the caller computes once through independent
+code paths: the lifted polynomial with lifted_volume_polynomial, the base
+one with forms.co_volume_polynomial, the blocks with quadratic_blocks.
+The signature bookkeeping that turns (Q) into nonnegativity of the base
+form is checked last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import _check_cutoff, cone_polyhedron, truncation_threshold
+from .cones import Cone, _check_cutoff, cone_polyhedron, truncation_threshold
 from .errors import CoconvexError
 from .forms import CoconvexFamily, co_combination_body, polynomial_af_forms
 from .polynomial import (
@@ -38,32 +39,29 @@ from .rational import Rat, rat, rat_str
 
 @dataclass(frozen=True)
 class LiftedFamily:
-    """Coconvex base plus the cutoff data that makes lifted bodies convex.
-
-    xi is the cone's own functional.  t0 dominates the complement thresholds
-    of every generator; marked levels sit at t0 + 1.  Combinations with
-    large coefficients push their own thresholds past t0, so each (lam, t)
-    is checked against its own combination rather than against t0.
-    """
+    """Coconvex base plus the cutoff data that makes lifted bodies convex:
+    each generator's complement threshold, c, c' and the marked levels, one
+    past the largest threshold.  Cuts are level sets of base.cone.xi, and
+    each (lam, t) is checked against its own combination's threshold."""
 
     base: CoconvexFamily
-    xi: tuple[int, ...]
-    t0: object
+    thresholds: tuple
+    c: Rat
+    c_prime: Rat
     lifted_marked: tuple
 
 
 def lift(fam: CoconvexFamily) -> LiftedFamily:
-    """Build the lifted family: the cone's functional (make_cone proved it
-    positive on every ray), threshold, marked levels."""
-    xi = fam.cone.xi
-    t0 = max(truncation_threshold(g.complement, xi) for g in fam.generators)
-    s = t0 + 1
-    return LiftedFamily(fam, xi, t0, tuple((v, s) for v in fam.marked))
+    """Build the lifted family, cut by the cone's xi (positive on every ray)."""
+    thresholds = tuple(truncation_threshold(g.complement, fam.cone.xi) for g in fam.generators)
+    s, c = max(thresholds) + 1, sector_constant(fam.cone)
+    marked = tuple((v, s) for v in fam.marked)
+    return LiftedFamily(fam, thresholds, c, c * s ** len(marked), marked)
 
 
-def sector_constant(lf: LiftedFamily):
+def sector_constant(cone: Cone):
     """Volume of the cone sector at level 1; homogeneity gives c * t^d."""
-    return volume(clip(cone_polyhedron(lf.base.cone), Halfspace.make(lf.xi, 1)))
+    return volume(clip(cone_polyhedron(cone), Halfspace.make(cone.xi, 1)))
 
 
 def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
@@ -71,8 +69,8 @@ def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
     once t clears its vertices."""
     t = rat(t)
     K = co_combination_body(lf.base, lam).complement
-    _check_cutoff(K, lf.xi, t)
-    return clip(K, Halfspace.make(lf.xi, t))
+    _check_cutoff(K, lf.base.cone.xi, t)
+    return clip(K, Halfspace.make(lf.base.cone.xi, t))
 
 
 def lifted_body_materialized(lf: LiftedFamily, lam, t) -> Polyhedron:
@@ -84,8 +82,8 @@ def lifted_body_materialized(lf: LiftedFamily, lam, t) -> Polyhedron:
     """
     t = rat(t)
     K = co_combination_body(lf.base, lam).complement
-    _check_cutoff(K, lf.xi, t)
-    sector = clip(cone_polyhedron(lf.base.cone), Halfspace.make(lf.xi, t))
+    _check_cutoff(K, lf.base.cone.xi, t)
+    sector = clip(cone_polyhedron(lf.base.cone), Halfspace.make(lf.base.cone.xi, t))
     halfspaces = sorted(set(dd_convert(sector)) | set(dd_convert(K)),
                         key=lambda h: (h.normal, h.bound))
     return dd_convert_back(tuple(halfspaces), lf.base.cone.dim)
@@ -100,13 +98,12 @@ def lifted_volume_polynomial(lf: LiftedFamily) -> HomogeneousPolynomial:
     """
     n = len(lf.base.generators)
     d = lf.base.dim
-    per_gen = [truncation_threshold(g.complement, lf.xi) for g in lf.base.generators]
-    floor_t = 1 + (d + 1) * sum(per_gen)
+    floor_t = 1 + (d + 1) * sum(lf.thresholds)
     axes = [range(1, d + 2)] * n + [[floor_t + k for k in range(d + 1)]]
 
     def value(point):
         K = co_combination_body(lf.base, point[:n]).complement
-        return volume(clip(K, Halfspace.make(lf.xi, point[n])))
+        return volume(clip(K, Halfspace.make(lf.base.cone.xi, point[n])))
 
     return fit_homogeneous(n + 1, d, tensor_grid(axes), value)
 
@@ -119,7 +116,6 @@ def recovered_base_polynomial(
     The lifted polynomial must be exactly c * t^d minus a t-free part; any
     other shape falsifies identity (V) and raises.
     """
-    c = sector_constant(lf)
     n = len(lf.base.generators)
     d = lf.base.dim
     out = {}
@@ -130,13 +126,13 @@ def recovered_base_polynomial(
             out[base_exps] = -coef
         elif te == d:
             seen_pure = True
-            if coef != c:
+            if coef != lf.c:
                 raise CoconvexError(
-                    f"pure cutoff term has coefficient {coef}, sector constant is {c}"
+                    f"pure cutoff term has coefficient {coef}, sector constant is {lf.c}"
                 )
         else:
             raise CoconvexError(f"mixed term {exps} should not appear in a lifted volume")
-    if not seen_pure and c != 0:
+    if not seen_pure and lf.c != 0:
         raise CoconvexError("pure cutoff term missing from the lifted volume")
     return HomogeneousPolynomial(n, d, out)
 
@@ -150,7 +146,7 @@ def _default_samples(lf: LiftedFamily, count: int):
         if j:
             lam[(j - 1) % n] += 1 + (j - 1) // n
         K = co_combination_body(lf.base, lam).complement
-        out.append((tuple(lam), truncation_threshold(K, lf.xi) + 1 + (j % 2)))
+        out.append((tuple(lam), truncation_threshold(K, lf.base.cone.xi) + 1 + (j % 2)))
     return out
 
 
@@ -161,7 +157,6 @@ def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     base_poly, the interpolated base polynomial (co_volume_polynomial of
     lf.base).  First mismatch is reported in full.
     """
-    c = sector_constant(lf)
     d = lf.base.dim
     if samples is None:
         samples = _default_samples(lf, 5)
@@ -170,7 +165,7 @@ def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     for lam, t in samples:
         lam, t = tuple(map(rat, lam)), rat(t)
         lhs = volume(lifted_body(lf, lam, t))
-        rhs = c * t**d - base_poly.evaluate(lam)
+        rhs = lf.c * t**d - base_poly.evaluate(lam)
         checked += 1
         if lhs != rhs:
             counterexample = {
@@ -188,22 +183,19 @@ def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     }
 
 
-def _quadratic_blocks(lf: LiftedFamily, lifted_poly, base_poly):
-    """Lifted quadratic matrix, base quadratic matrix, and c'."""
+def quadratic_blocks(lf: LiftedFamily, lifted_poly, base_poly):
+    """(q_lift, q_base): the quadratic matrices of the lifted and base
+    polynomials at their marked vectors, built once for both verifiers."""
     vectors = [tuple(v) + (s,) for v, s in lf.lifted_marked]
     _, q_lift = polynomial_af_forms(lifted_poly, vectors)
     _, q_base = polynomial_af_forms(base_poly, lf.base.marked)
-    cp = sector_constant(lf)
-    for _, s in lf.lifted_marked:
-        cp = cp * s
-    return q_lift, q_base, cp
+    return q_lift, q_base
 
 
-def verify_identity_Q(lf: LiftedFamily, lifted_poly, base_poly) -> dict:
+def verify_identity_Q(lf: LiftedFamily, q_lift, q_base) -> dict:
     """Entry-wise check of the block shape of the lifted quadratic matrix:
     the base block is the negated base quadratic, the cutoff block is 2c',
     and the two never mix."""
-    q_lift, q_base, cp = _quadratic_blocks(lf, lifted_poly, base_poly)
     n = len(lf.base.generators)
     mismatches = []
     for i in range(n + 1):
@@ -211,7 +203,7 @@ def verify_identity_Q(lf: LiftedFamily, lifted_poly, base_poly) -> dict:
             if i < n and j < n:
                 want = -q_base[i][j]
             elif i == n and j == n:
-                want = 2 * cp
+                want = 2 * lf.c_prime
             else:
                 want = Rat(0)
             got = q_lift[i][j]
@@ -231,14 +223,13 @@ def _combine(a: Signature, b: Signature) -> Signature:
     return Signature(a.pos + b.pos, a.neg + b.neg, a.zero + b.zero)
 
 
-def verify_signature_argument(lf: LiftedFamily, lifted_poly, base_poly) -> dict:
+def verify_signature_argument(lf: LiftedFamily, q_lift, q_base) -> dict:
     """Signature bookkeeping: the lifted form has exactly one positive
     square, the cutoff block contributes (1,0), the rest is the negated base
     form, and additivity over the disjoint variable split forces the base
     form to have no negative squares."""
-    q_lift, q_base, cp = _quadratic_blocks(lf, lifted_poly, base_poly)
     sig_lift = signature(q_lift)
-    sig_sector = signature(((2 * cp,),))
+    sig_sector = signature(((2 * lf.c_prime,),))
     sig_negated = signature(tuple(tuple(-x for x in row) for row in q_base))
     sig_base = signature(q_base)
     relations = [

@@ -41,6 +41,7 @@ from coconvex.lift import (
     lift,
     lifted_body,
     lifted_volume_polynomial,
+    quadratic_blocks,
     sector_constant,
     verify_identity_Q,
     verify_identity_V,
@@ -166,10 +167,10 @@ def test_criterion_5_lifting_identities():
             fam = gen_coconvex_family(rng, d, 1 + k % 2, 2)
             lf = lift(fam)
             base = co_volume_polynomial(fam)
-            poly = lifted_volume_polynomial(lf)
+            q_lift, q_base = quadratic_blocks(lf, lifted_volume_polynomial(lf), base)
             rv = verify_identity_V(lf, base)
-            rq = verify_identity_Q(lf, poly, base)
-            rs = verify_signature_argument(lf, poly, base)
+            rq = verify_identity_Q(lf, q_lift, q_base)
+            rs = verify_signature_argument(lf, q_lift, q_base)
             if rv["samples"] < 5:
                 ok = False
             if any(r["status"] != "ok" for r in (rv, rq, rs)):
@@ -209,12 +210,12 @@ def test_criterion_7_worked_example():
     _, Q = co_af_form(fam)
     ok = ok and Q == ((Rat(1),),)
     lf = lift(fam)
-    c = sector_constant(lf)
-    ok = ok and c == Rat(1, 2)
+    c = sector_constant(fam.cone)
+    ok = ok and c == lf.c == Rat(1, 2)
     cp = c
     for _, s in lf.lifted_marked:
         cp = cp * s
-    ok = ok and cp == Rat(1, 2)
+    ok = ok and cp == lf.c_prime == Rat(1, 2)
     trapezoid = lifted_body(lf, (1,), 3)
     ok = ok and volume(trapezoid) == 4
     ok = ok and c * Rat(9) - Rat(1, 2) == 4

@@ -44,6 +44,7 @@ from coconvex.forms import (
     reversed_cs_check,
 )
 from coconvex.lift import lift, lifted_body, lifted_body_materialized, verify_identity_V
+from coconvex.linalg import dot
 from coconvex.polynomial import HomogeneousPolynomial, fit_homogeneous, signature
 from coconvex.polytope import Halfspace, convex_hull, volume
 from coconvex.rational import Rat
@@ -101,6 +102,25 @@ def test_truncation_threshold(corner_triangle):
     assert truncation_threshold(corner_triangle.complement, (1, 1)) == 1
     trunc = synthesize_truncation(corner_triangle)
     assert Rat(trunc.t) > 1
+
+
+@st.composite
+def rational_points(draw):
+    """A functional and a point set with rational coordinates, in dims 2-3."""
+    dim = draw(st.integers(2, 3))
+    coord = st.builds(Rat, st.integers(-9, 9), st.integers(1, 6))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6))
+    return draw(st.tuples(*[st.integers(-4, 4)] * dim)), points
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(rational_points())
+def test_truncation_threshold_matches_rational_dot_products(case):
+    xi, points = case
+    K = convex_hull(points)
+    want = max(Rat(dot(xi, v)) for v in K.vertices)
+    got = truncation_threshold(K, xi)
+    assert got == want and type(got) is type(want)
 
 
 def test_truncation_validation(corner_triangle):

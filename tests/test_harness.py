@@ -198,18 +198,18 @@ def test_suite_selection_does_not_shift_streams():
 
 
 def test_corrupt_form_hook_produces_counterexample(monkeypatch):
-    real = harness.polynomial_af_forms
+    real = harness.co_af_form
 
-    def corrupted(P, marked):
+    def corrupted(fam):
         # negate the first diagonal entry of both forms
         forms = []
-        for matrix in real(P, marked):
+        for matrix in real(fam):
             rows = [list(r) for r in matrix]
             rows[0][0] = -rows[0][0]
             forms.append(tuple(tuple(r) for r in rows))
         return tuple(forms)
 
-    monkeypatch.setattr(harness, "polynomial_af_forms", corrupted)
+    monkeypatch.setattr(harness, "co_af_form", corrupted)
     cfg = ExperimentConfig(n_trials=1, seed=7, suite=("co_af",))
     report = run_suite(cfg)
     assert report.results["co_af"]["fail"] == 1

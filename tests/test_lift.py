@@ -2,15 +2,18 @@ from importlib import import_module
 
 import pytest
 
+from coconvex import cli
 from coconvex.cones import co_scale, make_coconvex, make_cone
 from coconvex.errors import CoconvexError, DimensionMismatch, InvalidTruncation
 from coconvex.forms import co_volume_polynomial, make_coconvex_family
 from coconvex.harness import SplitMix64, gen_coconvex_family
+from coconvex.jsonio import coconvex_family_to_json, dump_json
 from coconvex.lift import (
     lift,
     lifted_body,
     lifted_body_materialized,
     lifted_volume_polynomial,
+    quadratic_blocks,
     recovered_base_polynomial,
     sector_constant,
     verify_identity_Q,
@@ -22,9 +25,10 @@ from coconvex.polytope import convex_hull, minkowski_sum, volume
 from coconvex.rational import Rat
 
 
-def _polys(lf):
-    """(lifted, base) volume polynomials, each from its own route."""
-    return lifted_volume_polynomial(lf), co_volume_polynomial(lf.base)
+def _blocks(lf):
+    """(q_lift, q_base) from the lifted and base volume polynomials, each
+    from its own route."""
+    return quadratic_blocks(lf, lifted_volume_polynomial(lf), co_volume_polynomial(lf.base))
 
 
 @pytest.fixture
@@ -43,20 +47,23 @@ def simplex_lift(corner_simplex):
     return lift(make_coconvex_family([corner_simplex]))
 
 
-def test_lift_window_and_marked(triangle_lift):
-    assert triangle_lift.xi == (1, 1)
-    assert triangle_lift.t0 == 1
+def test_lift_window_and_marked(triangle_lift, pair_lift):
+    assert triangle_lift.thresholds == (1,)
+    assert pair_lift.thresholds == (1, 2)
     assert triangle_lift.lifted_marked == ()
+    # no marked levels: c' is c
+    assert triangle_lift.c_prime == triangle_lift.c
 
 
 def test_lift_marked_levels(simplex_lift):
     # base marked vector (1,) paired with the mid-window level 2
     assert simplex_lift.lifted_marked == (((1,), 2),)
+    assert simplex_lift.c_prime == Rat(1, 6) * 2
 
 
 def test_sector_constant(triangle_lift, simplex_lift):
-    assert sector_constant(triangle_lift) == Rat(1, 2)
-    assert sector_constant(simplex_lift) == Rat(1, 6)
+    for lf, c in ((triangle_lift, Rat(1, 2)), (simplex_lift, Rat(1, 6))):
+        assert sector_constant(lf.base.cone) == lf.c == c
 
 
 def test_lifted_body_is_the_trapezoid(triangle_lift):
@@ -162,7 +169,7 @@ def test_identity_V_detects_wrong_base(triangle_lift):
 
 def test_identity_Q(triangle_lift, pair_lift, simplex_lift):
     for lf in (triangle_lift, pair_lift, simplex_lift):
-        report = verify_identity_Q(lf, *_polys(lf))
+        report = verify_identity_Q(lf, *_blocks(lf))
         assert report["status"] == "ok"
         assert report["counterexample"] is None
 
@@ -170,7 +177,7 @@ def test_identity_Q(triangle_lift, pair_lift, simplex_lift):
 def test_identity_Q_detects_tampering(triangle_lift):
     tampered = HomogeneousPolynomial(2, 2, {(0, 2): Rat(1, 2), (2, 0): Rat(1, 2)})
     base = co_volume_polynomial(triangle_lift.base)
-    report = verify_identity_Q(triangle_lift, tampered, base)
+    report = verify_identity_Q(triangle_lift, *quadratic_blocks(triangle_lift, tampered, base))
     assert report["status"] == "fail"
     entries = report["counterexample"]["entries"]
     assert entries and all(set(e) == {"row", "col", "got", "expected"} for e in entries)
@@ -178,7 +185,7 @@ def test_identity_Q_detects_tampering(triangle_lift):
 
 def test_signature_argument(triangle_lift, pair_lift, simplex_lift):
     for lf in (triangle_lift, pair_lift, simplex_lift):
-        report = verify_signature_argument(lf, *_polys(lf))
+        report = verify_signature_argument(lf, *_blocks(lf))
         assert report["status"] == "ok"
         assert report["samples"] == 4
 
@@ -189,7 +196,7 @@ def test_signature_argument_detects_tampering(pair_lift):
     flipped = {e: (-c if e[-1] == 0 else c) for e, c in good.coeffs.items()}
     tampered = HomogeneousPolynomial(good.nvars, good.degree, flipped)
     base = co_volume_polynomial(pair_lift.base)
-    report = verify_signature_argument(pair_lift, tampered, base)
+    report = verify_signature_argument(pair_lift, *quadratic_blocks(pair_lift, tampered, base))
     assert report["status"] == "fail"
     assert "lifted_form_one_positive" in report["counterexample"]["failed"]
 
@@ -199,10 +206,34 @@ def test_lift_on_slanted_cone():
     K = convex_hull([(1, 0), (1, 2)], rays=cone.rays)
     fam = make_coconvex_family([make_coconvex(cone, K)])
     lf = lift(fam)
-    poly, base = _polys(lf)
+    q_lift, q_base = _blocks(lf)
     for name, report in (
-        ("V", verify_identity_V(lf, base)),
-        ("Q", verify_identity_Q(lf, poly, base)),
-        ("sig", verify_signature_argument(lf, poly, base)),
+        ("V", verify_identity_V(lf, co_volume_polynomial(fam))),
+        ("Q", verify_identity_Q(lf, q_lift, q_base)),
+        ("sig", verify_signature_argument(lf, q_lift, q_base)),
     ):
         assert report["status"] == "ok", name
+
+
+def test_lift_verify_derives_each_intermediate_once(monkeypatch, tmp_path):
+    # d = 3, n = 2: one sector constant, in lift, and one quadratic form per
+    # polynomial, shared by the Q and signature verifiers.
+    fam = gen_coconvex_family(SplitMix64(5), 3, 2, 3)
+    path = tmp_path / "family.json"
+    path.write_text(dump_json(coconvex_family_to_json(fam)), encoding="utf-8")
+    module = import_module("coconvex.lift")
+    calls = {"sector_constant": 0, "polynomial_af_forms": 0}
+
+    def counting(name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(module, name, counting(name))
+    assert cli.main(["lift-verify", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == {"sector_constant": 1, "polynomial_af_forms": 2}
