@@ -9,22 +9,24 @@ homogenized data, which keeps the exact-arithmetic core small.
 
 The kernel is integer-only.  Input rows are first scaled to primitive
 integer vectors; from then on every quantity is a Python int and no
-rational is ever built.  Elimination is fraction-free Gauss-Jordan in the
-style of Bareiss (1968), as in cddlib's exact mode and Fukuda-Prodon,
-"Double description method revisited" (1996): a step with pivot p and
-previous pivot q replaces every other row by (p * row - row[col] * pivot
-row) / q.  Every entry is then, up to sign, a minor of the input matrix,
-so the division is exact and the entries stay as small as those minors.
-Because only the direction of each vector matters and every output is
-made primitive, the results are exactly those of rational elimination:
-the same lineality vectors and rays, bit for bit.
+rational is ever built.  Its one elimination, `greedy_inverse`, is
+fraction-free Gauss-Jordan in the style of Bareiss (1968), as in cddlib's
+exact mode and Fukuda-Prodon, "Double description method revisited"
+(1996), run incrementally: the pivot rows are always d times the reduced
+row echelon rows of the rows taken so far, with d their last pivot, so
+every entry is, up to sign, a minor of the input matrix, each division is
+exact and the entries stay as small as those minors.  Because only the
+direction of each vector matters and every output is made primitive, the
+results are exactly those of rational elimination: the same lineality
+vectors and rays, bit for bit.
 
-The kernel works in its input coordinates.  It picks the first
-independent rows greedily, stacks them over a lineality basis and
-inverts; the inverse's columns for the picked rows are the starting rays.
-Each is orthogonal to the lineality space, so it lies in the row space,
-where the cone is pointed, and so does every positive combination of
-rays that the insertion builds: no change of basis is needed.
+The kernel works in its input coordinates.  One pass picks the first
+independent rows greedily, reads the lineality basis off their echelon and
+completes the inverse of the picks stacked over that basis; the inverse's
+columns for the picked rows are the starting rays.  Each is orthogonal to
+the lineality space, so it lies in the row space, where the cone is
+pointed, and so does every positive combination of rays that the
+insertion builds: no change of basis is needed.
 
 The incremental insertion keeps, at every step, exactly the extreme rays of
 the cone cut out by the constraints processed so far, starting from an
@@ -42,94 +44,65 @@ from operator import mul
 from .linalg import primitive_integer, sign_normalized
 
 
-def _gauss_jordan(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination on the first ncols columns.
+def greedy_inverse(rows, n):
+    """(picked, lineality, M, d) from one fraction-free pass over [S | I].
 
-    Pivoting follows `linalg.rref`: columns in order, first row with a
-    nonzero entry.  Returns (pivot rows, pivot columns, d).  Every pivot row
-    holds d at its own pivot column and 0 at the others: it is d times the
-    matching row of the reduced row echelon form.  Columns past ncols are
-    carried along, so eliminating [B | I] for an invertible B leaves
-    [d I | d B^-1] whatever rows were swapped.
+    rows is an iterable of integer rows of length n.  picked holds the
+    indices of the first rows independent of those before them, greedily in
+    order, as rational elimination picks them; no row past the n-th pick is
+    drawn, so rows may be built lazily.  lineality is the basis of the space
+    orthogonal to the picks that `linalg.nullspace_basis` returns: one
+    vector per free column of their reduced row echelon form, made
+    primitive and sign-normalized.  M, a list of integer rows, is d * S^-1
+    for S the picks stacked over the lineality basis.
+
+    Each row x taken, carried with the unit row of its place in S, becomes
+    x' = d x - sum x[c] M_c over the pivot rows M_c and their pivot columns
+    c; a row with x' zero in its first n entries is dependent.  Otherwise
+    the first nonzero column j of x' is a new pivot, every pivot row becomes
+    (x'[j] M_c - M_c[j] x') / d, an exact division, and d becomes x'[j].
+    The pivot rows are then still d times reduced row echelon rows, zero
+    left of their pivots, so the pivot set is that of the echelon form.
     """
-    mat = [list(r) for r in rows]
-    pivots = []
-    prev = 1
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        prow = mat[rank]
-        p = prow[col]
-        for i, row in enumerate(mat):
-            if i != rank:
-                f = row[col]
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = p
-        pivots.append(col)
-        rank += 1
-        # Rows reduced to zero stay zero; drop them.
-        mat = mat[:rank] + [row for row in mat[rank:] if any(row)]
-        if rank == len(mat):
-            break
-    return mat[:rank], pivots, prev
+    pivots = {}
+    d = 1
 
-
-def _lineality(rows, dim):
-    """Sign-normalized basis of {x : row . x = 0 for every row}: one vector
-    per free column of the reduced row echelon form, made primitive."""
-    reduced, pivots, d = _gauss_jordan(rows, dim)
-    lineality = []
-    for fc in range(dim):
-        if fc in pivots:
-            continue
-        vec = [0] * dim
-        vec[fc] = d
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
-        lineality.append(sign_normalized(primitive_integer(vec)))
-    return lineality
-
-
-def independent_rows(rows, r):
-    """The first r rows of an iterable of integer rows that are linearly
-    independent, picked greedily in order, as (index, row) pairs.
-
-    Fewer come back when the rows run out.  The echelon is fraction-free;
-    independence does not depend on how it is eliminated, so the choice is
-    that of rational greedy elimination.  No row past the r-th pick is
-    drawn from the iterable, so rows may be built lazily.
-    """
-    picked, echelon = [], []
-    for idx, row in enumerate(rows):
-        work = row
-        for pc, prow in echelon:
-            f = work[pc]
+    def take(x, place):
+        nonlocal d
+        work = [d * a for a in x] + [d if j == place else 0 for j in range(n)]
+        for c, prow in pivots.items():
+            f = x[c]
             if f:
-                p = prow[pc]
-                work = [p * a - f * b for a, b in zip(work, prow)]
-        pivot = next((c for c, x in enumerate(work) if x), None)
-        if pivot is None:
-            continue
-        echelon.append((pivot, primitive_integer(work)))
-        picked.append((idx, row))
-        if len(picked) == r:
-            break
-    return picked
+                work = [a - f * b for a, b in zip(work, prow)]
+        col = next((j for j in range(n) if work[j]), None)
+        if col is None:
+            return False
+        p = work[col]
+        for c, prow in pivots.items():
+            f = prow[col]
+            pivots[c] = [(p * a - f * b) // d for a, b in zip(prow, work)]
+        pivots[col] = work
+        d = p
+        return True
 
-
-def scaled_inverse(square):
-    """(M, d) with M = d * B^-1 for an invertible integer matrix B.
-
-    Fraction-free Gauss-Jordan on [B | I]; d is the last pivot, which is
-    det B up to sign, and M is returned as a list of integer rows.
-    """
-    n = len(square)
-    aug = [list(row) + [int(j == k) for j in range(n)] for k, row in enumerate(square)]
-    reduced, _, d = _gauss_jordan(aug, n)
-    return [row[n:] for row in reduced], d
+    picked = []
+    for idx, row in enumerate(rows):
+        if take(row, len(picked)):
+            picked.append(idx)
+            if len(picked) == n:
+                break
+    lineality = []
+    for fc in range(n):
+        if fc not in pivots:
+            vec = [0] * n
+            vec[fc] = d
+            for c, prow in pivots.items():
+                vec[c] = -prow[fc]
+            lineality.append(sign_normalized(primitive_integer(vec)))
+    for place, vec in enumerate(lineality, len(picked)):
+        if not take(vec, place):
+            raise AssertionError("picked rows and lineality basis are dependent")
+    return picked, lineality, [prow[n:] for _, prow in sorted(pivots.items())], d
 
 
 def _starting_basis(rows, dim):
@@ -140,15 +113,10 @@ def _starting_basis(rows, dim):
     lineality basis, made primitive: it meets chosen row k positively and
     the other chosen rows and the lineality space in zero.
     """
-    picked = independent_rows(rows, dim)
-    chosen = [row for _, row in picked]
-    lineality = _lineality(chosen, dim) if len(chosen) < dim else []
-    inverse, d = scaled_inverse(chosen + lineality)
-    if len(inverse) < dim:
-        raise AssertionError("chosen rows and lineality basis are dependent")
+    picked, lineality, inverse, d = greedy_inverse(rows, dim)
     sign = 1 if d > 0 else -1
-    rays = [primitive_integer([sign * row[k] for row in inverse]) for k in range(len(chosen))]
-    return [idx for idx, _ in picked], rays, lineality
+    rays = [primitive_integer([sign * row[k] for row in inverse]) for k in range(len(picked))]
+    return picked, rays, lineality
 
 
 def cone_extreme_rays(rows, dim):

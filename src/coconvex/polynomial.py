@@ -1,11 +1,11 @@
 """Homogeneous polynomials with exact coefficients, plus quadratic-form tools.
 
 Everything here is exact.  Interpolation is fraction-free: grid points
-are scaled to integers, rows are picked and the system is inverted by the
-integer elimination of the DD kernel (`dd.independent_rows`,
-`dd.scaled_inverse`), and each coefficient is built as one rational at the
-end.  The inertia of a symmetric matrix comes from congruence reduction,
-so signatures carry no numerical error.
+are scaled to integers, and one pass of the DD kernel's integer
+elimination (`dd.greedy_inverse`) picks the rows and inverts the system;
+each coefficient is built as one rational at the end.  The inertia of a
+symmetric matrix comes from congruence reduction, so signatures carry no
+numerical error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import product
 from math import factorial, prod
 from operator import mul
 
-from .dd import independent_rows, scaled_inverse
+from .dd import greedy_inverse
 from .errors import DimensionMismatch, EmptyInput
 from .linalg import over_common_denominator
 from .rational import Rat, ZERO, rat
@@ -164,14 +164,14 @@ def fit_homogeneous(nvars: int, degree: int, points, value_fn) -> HomogeneousPol
     The solve is integer-only.  Each point is scaled by L, the lcm of its
     coordinate denominators, so its monomial row is an integer row, L**degree
     times the rational one; the value at that point is scaled by L**degree
-    to match.  Rows are built lazily, in point order, and picked by the
-    greedy fraction-free echelon of `dd.independent_rows` until there are
-    as many independent rows B as monomials: the same points, in the same
-    order, that greedy rational elimination would pick.  value_fn runs only
-    at those points, which matters when each evaluation is a full volume
-    computation.  Eliminating [B | I] gives M = d * B^-1, with d = +-det B;
-    with the scaled values written as n_k / D over one common denominator
-    D, coefficient j is the single rational (sum_k M_jk n_k) / (d * D).
+    to match.  Rows are built lazily, in point order, and `dd.greedy_inverse`
+    picks them until there are as many independent rows B as monomials: the
+    same points, in the same order, that greedy rational elimination would
+    pick.  value_fn runs only at those points, which matters when each
+    evaluation is a full volume computation.  The same pass gives
+    M = d * B^-1; with the scaled values written as n_k / D over one common
+    denominator D, coefficient j is the single rational
+    (sum_k M_jk n_k) / (d * D).
 
     Raises DimensionMismatch if any point has the wrong length, and
     ArithmeticError, before value_fn is called, if the points cannot
@@ -189,11 +189,10 @@ def fit_homogeneous(nvars: int, degree: int, points, value_fn) -> HomogeneousPol
             scales.append(L**degree)
             yield [prod(map(pow, scaled, exps)) for exps in monomials]
 
-    picked = independent_rows(integer_rows(), len(monomials))
-    if len(picked) < len(monomials):
+    picked, lineality, inverse, d = greedy_inverse(integer_rows(), len(monomials))
+    if lineality:
         raise ArithmeticError("candidate points cannot determine the polynomial")
-    inverse, d = scaled_inverse([row for _, row in picked])
-    nums, den = over_common_denominator([rat(value_fn(points[i])) * scales[i] for i, _ in picked])
+    nums, den = over_common_denominator([rat(value_fn(points[i])) * scales[i] for i in picked])
     den *= d
     return HomogeneousPolynomial(
         nvars,

@@ -134,7 +134,7 @@ def cone_inputs(draw):
 def test_singular_start_is_an_invariant_failure(monkeypatch):
     # A lineality basis that overlapped the row space would leave the
     # stacked start singular; the kernel says so instead of inverting it.
-    monkeypatch.setattr(dd, "_lineality", lambda rows, dim: [rows[0]])
+    monkeypatch.setattr(dd, "sign_normalized", lambda vec: (1, 0))
     with pytest.raises(AssertionError, match="dependent"):
         cone_extreme_rays([(1, 0)], 2)
 
@@ -181,34 +181,67 @@ def test_incidence_matches_dot_products(case, seed):
     )
 
 
+@st.composite
+def greedy_inputs(draw):
+    """Up to 8 integer rows of length n in 1-5 with entries in [-4, 4],
+    plus duplicated and scaled copies, in a drawn order."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=8))
+    extra = []
+    for row in rows:
+        kind = draw(st.sampled_from(["none", "duplicate", "scaled"]))
+        if kind == "duplicate":
+            extra.append(row)
+        elif kind == "scaled":
+            factor = draw(st.sampled_from([-2, 2, 3]))
+            extra.append(tuple(factor * x for x in row))
+    return draw(st.permutations(rows + extra)), n
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda dim: st.tuples(
-            st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=7),
-            st.just(dim),
-        )
-    )
-)
-def test_lineality_is_the_rational_nullspace(case):
-    # The lineality basis read off the fraction-free echelon is the rational
-    # nullspace basis, vector for vector.
-    rows, dim = case
-    assert dd._lineality(rows, dim) == linalg.nullspace_basis(rows, dim)
+@given(greedy_inputs())
+@example(([], 3))  # no rows: the lineality basis is the identity
+@example(([(0, 0), (0, 0)], 2))  # only zero rows
+@example(([(1, 2), (2, 4), (0, 1), (5, 5)], 2))  # a dependent row, then a full pick
+@example(RANK_TWO_SEVEN_ROWS)
+@example(FULL_RANK_SEVEN_ROWS)
+def test_greedy_inverse_matches_rational_oracles(case):
+    # One fraction-free pass picks what greedy rational elimination picks,
+    # reads off the rational nullspace basis, vector for vector, and inverts
+    # the picks stacked over it; no row past the n-th pick is drawn.
+    rows, n = case
+    picks = linalg.independent_row_indices(rows, n, limit=n)
+    last = picks[-1] if len(picks) == n else len(rows) - 1
+
+    def drawn_lazily():
+        for i, row in enumerate(rows):
+            if i > last:
+                raise AssertionError("a row past the n-th pick was drawn")
+            yield row
+
+    picked, lineality, inverse, d = dd.greedy_inverse(drawn_lazily(), n)
+    assert picked == picks
+    assert lineality == linalg.nullspace_basis(rows, n)
+    stacked = [rows[i] for i in picked] + lineality
+    assert [tuple(Rat(x, d) for x in row) for row in inverse] == linalg.invert_matrix(stacked)
 
 
 def test_kernel_eliminates_at_most_dim_rows(monkeypatch):
-    # Only the chosen independent rows, stacked over the lineality basis,
-    # are eliminated; the rows the insertion adds are never part of one.
-    counts = []
-    eliminate = dd._gauss_jordan
+    # The kernel runs one elimination, over its primitive input rows, and
+    # picks at most dim of them; the rays the insertion builds never enter it.
+    calls = []
+    eliminate = dd.greedy_inverse
 
-    def recording(rows, ncols):
-        counts.append(len(rows))
-        return eliminate(rows, ncols)
+    def recording(rows, n):
+        rows = list(rows)
+        out = eliminate(rows, n)
+        calls.append((rows, out))
+        return out
 
-    monkeypatch.setattr(dd, "_gauss_jordan", recording)
+    monkeypatch.setattr(dd, "greedy_inverse", recording)
     for rows, dim in (FULL_RANK_SEVEN_ROWS, RANK_TWO_SEVEN_ROWS):
-        counts.clear()
+        calls.clear()
         assert cone_extreme_rays(rows, dim)[:2] == reference_cone_extreme_rays(rows, dim)
-        assert counts and max(counts) <= dim
+        [(seen, (picked, lineality, inverse, _))] = calls
+        assert set(seen) == {linalg.primitive_integer(row) for row in rows}
+        assert len(picked) <= dim and len(picked) + len(lineality) == len(inverse) == dim
