@@ -11,7 +11,6 @@ vol(K cut at level t) for any level t clearing the complement's vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .dd import cone_extreme_rays
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .linalg import dot, primitive_integer
 from .polytope import (
-    CACHE_MAXSIZE,
     Halfspace,
     Polyhedron,
     _lattice_scaled,
@@ -118,7 +116,6 @@ def make_cone(rays) -> Cone:
     return Cone(dim, tuple(canonical), xi, tuple(dual_rays))
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def cone_polyhedron(cone: Cone) -> Polyhedron:
     """The cone as a V-form polyhedron with apex at the origin, carrying its
     facets -y . x <= 0, one per extreme ray y of the dual cone."""

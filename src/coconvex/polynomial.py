@@ -78,9 +78,6 @@ class HomogeneousPolynomial:
         terms = ", ".join(f"{exps}: {c}" for exps, c in sorted(self.coeffs.items(), reverse=True))
         return f"HomogeneousPolynomial({self.nvars}, {self.degree}, {{{terms}}})"
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise DimensionMismatch("point has the wrong number of coordinates")
@@ -95,30 +92,25 @@ class HomogeneousPolynomial:
         return total
 
     def partial(self, index: int) -> "HomogeneousPolynomial":
-        """Partial derivative in one variable; degree drops by one."""
+        """Partial derivative in one variable: `directional` along e_index."""
         if not 0 <= index < self.nvars:
             raise DimensionMismatch("no such variable")
-        if self.degree == 0:
-            return HomogeneousPolynomial(self.nvars, 0)
-        out = {}
-        for exps, c in self.coeffs.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            dropped = exps[:index] + (e - 1,) + exps[index + 1 :]
-            out[dropped] = out.get(dropped, ZERO) + c * e
-        return HomogeneousPolynomial(self.nvars, self.degree - 1, out)
+        return self.directional([int(k == index) for k in range(self.nvars)])
 
     def directional(self, vector) -> "HomogeneousPolynomial":
-        """Derivative along a constant direction in the variable space."""
+        """Derivative along a constant direction in the variable space, in one
+        pass: each term c x^e adds c e_i v_i to x^(e - e_i).  Degree drops by
+        one (a constant's derivative is the zero constant)."""
         if len(vector) != self.nvars:
             raise DimensionMismatch("direction has the wrong number of coordinates")
-        out = HomogeneousPolynomial(self.nvars, max(self.degree - 1, 0))
-        for i, v in enumerate(vector):
-            v = rat(v)
-            if v != 0:
-                out = out + self.partial(i).scale(v)
-        return out
+        vector = [rat(v) for v in vector]
+        out = {}
+        for exps, c in self.coeffs.items():
+            for i, (e, v) in enumerate(zip(exps, vector)):
+                if e and v:
+                    dropped = exps[:i] + (e - 1,) + exps[i + 1 :]
+                    out[dropped] = out.get(dropped, ZERO) + c * e * v
+        return HomogeneousPolynomial(self.nvars, max(self.degree - 1, 0), out)
 
     def constant(self):
         """The value of a degree-zero polynomial."""
@@ -202,12 +194,17 @@ def fit_homogeneous(nvars: int, degree: int, points, value_fn) -> HomogeneousPol
 
 
 def hessian_matrix(poly: HomogeneousPolynomial):
-    """Matrix of second partials of a quadratic; entries are rationals."""
+    """Matrix of second partials of a quadratic, read off its coefficients:
+    H[i][j] is the coefficient of x_i x_j, and H[i][i] twice that of x_i^2."""
     if poly.degree != 2:
         raise DimensionMismatch("hessian needs a quadratic")
     n = poly.nvars
-    firsts = [poly.partial(i) for i in range(n)]
-    return tuple(tuple(firsts[i].partial(j).constant() for j in range(n)) for i in range(n))
+
+    def entry(i, j):
+        c = poly.coeffs.get(tuple((k == i) + (k == j) for k in range(n)), ZERO)
+        return 2 * c if i == j else c
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,10 @@ def signature(matrix) -> Signature:
     """Inertia of a symmetric rational matrix by congruence reduction.
 
     Diagonalizes M as S M S^T with exact row and column operations, so the
-    counts are those guaranteed by Sylvester's law, free of rounding.
+    counts are those guaranteed by Sylvester's law, free of rounding.  A zero
+    pivot m[k][k] looks down column k only: if that column is zero, variable
+    k is a null square; otherwise the first row i with m[i][k] != 0 is
+    swapped in when m[i][i] != 0, or else folded into k.
     """
     n = len(matrix)
     m = [[rat(x) for x in row] for row in matrix]
@@ -238,38 +238,23 @@ def signature(matrix) -> Signature:
             if m[i][j] != m[j][i]:
                 raise DimensionMismatch("matrix is not symmetric")
 
-    def swap(a, b):
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
     pos = neg = zero = 0
     for k in range(n):
         if m[k][k] == 0:
-            diag = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if diag is not None:
-                swap(k, diag)
-            else:
-                spot = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(i + 1, n)
-                        if m[i][j] != 0
-                    ),
-                    None,
-                )
-                if spot is None:
-                    zero += n - k
-                    break
-                i, j = spot
-                # fold variable j into i; the diagonal entry becomes 2 m[i][j]
-                for col in range(n):
-                    m[i][col] = m[i][col] + m[j][col]
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
+                zero += 1
+                continue
+            if m[i][i] != 0:
+                m[k], m[i] = m[i], m[k]
                 for row in m:
-                    row[i] = row[i] + row[j]
-                if i != k:
-                    swap(k, i)
+                    row[k], row[i] = row[i], row[k]
+            else:
+                # fold variable i into k; the diagonal entry becomes 2 m[i][k]
+                for col in range(n):
+                    m[k][col] = m[k][col] + m[i][col]
+                for row in m:
+                    row[k] = row[k] + row[i]
         p = m[k][k]
         if p > 0:
             pos += 1

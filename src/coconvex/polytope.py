@@ -85,8 +85,8 @@ from .errors import (
 from .linalg import dot, primitive_integer, vadd
 from .rational import Rat, ZERO, rat
 
-# Entries kept by each bounded cache: `volume` and `cones.cone_polyhedron`.
-# Bounded so that memory stays flat over long runs such as `suite`.
+# Entries kept by the bounded `volume` cache, so that memory stays flat over
+# long runs such as `suite`.
 CACHE_MAXSIZE = 128
 
 

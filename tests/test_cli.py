@@ -124,18 +124,15 @@ def test_suite_all_keyword(capsys):
 
 
 def test_suite_caches_stay_bounded(capsys):
-    # A long suite run fills the volume and cone-polyhedron caches up to
-    # their bound and no further.
-    from coconvex import cones, polytope
+    # A long suite run fills the volume cache, the library's one cache, up
+    # to its bound and no further.
+    from coconvex import polytope
 
-    caches = (polytope.volume, cones.cone_polyhedron)
     code, _, _ = run_cli(capsys, "suite", "--suite", "all", "--dim", "2", "--trials", "5")
     assert code == 0
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize == polytope.CACHE_MAXSIZE
-        assert info.currsize <= info.maxsize
-    assert polytope.volume.cache_info().currsize == polytope.CACHE_MAXSIZE
+    info = polytope.volume.cache_info()
+    assert info.maxsize == polytope.CACHE_MAXSIZE
+    assert info.currsize == polytope.CACHE_MAXSIZE
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -402,7 +402,7 @@ def test_make_cone_matches_two_pass_reference(rays):
     # what gen_coconvex_body's cut functionals rely on
     xi = [sum(column) for column in zip(*got.duals)]
     assert all(sum(a * b for a, b in zip(xi, ray)) > 0 for ray in got.rays)
-    P = cone_polyhedron.__wrapped__(got)
+    P = cone_polyhedron(got)
     hull = convex_hull([(0,) * got.dim], rays=got.rays)
     assert P == hull and repr(P) == repr(hull)
     assert P.facets == hull_reference.facets(P) == hull.facets
@@ -426,6 +426,6 @@ def test_cones_run_one_dd_pass(monkeypatch):
     assert cone.rays == ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
     monkeypatch.setattr(cones, "cone_extreme_rays", forbidden)
     monkeypatch.setattr(polytope, "cone_extreme_rays", forbidden)
-    P = cone_polyhedron.__wrapped__(cone)
+    P = cone_polyhedron(cone)
     assert P.facets is not None and len(P.facets) == 4
     assert cone.duals == ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))

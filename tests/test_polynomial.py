@@ -5,7 +5,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fit_reference
+import polynomial_reference
 from coconvex.errors import DimensionMismatch
+from coconvex.forms import polynomial_af_forms
 from coconvex.polynomial import (
     HomogeneousPolynomial,
     Signature,
@@ -68,8 +70,8 @@ def test_zero_coefficient_does_not_hide_a_bad_exponent_tuple(coeffs):
 def test_zero_coefficients_are_dropped():
     P = HomogeneousPolynomial(2, 2, {(2, 0): 0, (1, 1): 1})
     assert (2, 0) not in P.coeffs
-    assert not P.is_zero()
-    assert HomogeneousPolynomial(2, 2).is_zero()
+    assert P.coeffs
+    assert HomogeneousPolynomial(2, 2).coeffs == {}
 
 
 def test_partial_derivatives(quadratic):
@@ -83,7 +85,7 @@ def test_partial_derivatives(quadratic):
 def test_partial_to_degree_zero():
     lin = HomogeneousPolynomial(2, 1, {(1, 0): 3, (0, 1): 4})
     assert lin.partial(0).constant() == 3
-    assert lin.partial(0).partial(1).is_zero()
+    assert lin.partial(0).partial(1).coeffs == {}
 
 
 def test_directional_derivative(quadratic):
@@ -261,6 +263,11 @@ def test_signature_known_matrices():
     assert signature(((0, 0), (0, 0))).astuple() == (0, 0, 2)
     assert signature(((2, 4), (4, 8))).astuple() == (1, 0, 1)
     assert signature(((2, 0, 0), (0, 0, 3), (0, 3, 0))).astuple() == (2, 1, 0)
+    # zero pivots: swap, fold, fold then a null square, and a null variable
+    # ahead of live ones
+    assert signature(((0, 1), (1, 1))).astuple() == (1, 1, 0)
+    assert signature(((0, 1, 0), (1, 0, 0), (0, 0, 0))).astuple() == (1, 1, 1)
+    assert signature(((0, 0, 0), (0, 0, 1), (0, 1, 0))).astuple() == (1, 1, 1)
 
 
 def test_signature_rational_entries():
@@ -315,3 +322,96 @@ def test_signature_is_congruence_invariant(M, S):
 def test_signature_counts_sum_to_dimension(M):
     s = signature(M)
     assert s.pos + s.neg + s.zero == 3
+
+
+@st.composite
+def polynomials(draw, degrees=st.integers(0, 4)):
+    """A polynomial with nvars <= 4, degree <= 4 and at most six terms with
+    rational coefficients, any of which may be zero."""
+    nvars, degree = draw(st.integers(1, 4)), draw(degrees)
+    monomials = list(monomial_exponents(nvars, degree))
+    coeffs = draw(st.dictionaries(st.sampled_from(monomials), small_rat, max_size=6))
+    return HomogeneousPolynomial(nvars, degree, coeffs)
+
+
+def _shape(P):
+    return P.nvars, P.degree, P.coeffs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(polynomials(), st.data())
+@example(HomogeneousPolynomial(2, 0, {(0, 0): 3}), None)
+def test_derivatives_match_reference(P, data):
+    # Directions mix zeros, small integers and rationals, so some partials
+    # drop out of the directional derivative and some terms cancel.
+    coord = st.one_of(st.just(0), st.integers(-3, 3), small_rat)
+    if data is None:
+        v = (0,) * P.nvars
+    else:
+        v = data.draw(st.tuples(*[coord] * P.nvars))
+    assert _shape(P.directional(v)) == _shape(polynomial_reference.directional(P, v))
+    for i in range(P.nvars):
+        assert _shape(P.partial(i)) == _shape(polynomial_reference.partial(P, i))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(polynomials(degrees=st.just(2)))
+def test_hessian_matches_reference(P):
+    assert hessian_matrix(P) == polynomial_reference.hessian_matrix(P)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """An n x n symmetric matrix, n <= 6: a sum of w v v^T over few vectors
+    (so often low rank), the same with its diagonal zeroed, or a sparse
+    matrix with a zero diagonal."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["low_rank", "zero_diagonal", "sparse"]))
+    if kind == "sparse":
+        m = [[Rat(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i] = draw(st.sampled_from([Rat(0)] * 3 + [Rat(1), Rat(-2)]))
+        return m
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(small_rat, vec), max_size=n))
+    m = [[sum((w * v[i] * v[j] for w, v in terms), Rat(0)) for j in range(n)] for i in range(n)]
+    if kind == "zero_diagonal":
+        for i in range(n):
+            m[i][i] = Rat(0)
+    return m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example(((0, 1), (1, 1)))  # zero pivot, nonzero diagonal below: swap
+@example(((0, 1), (1, 0)))  # zero pivot, zero diagonal below: fold
+@example(((0, 1, 0), (1, 0, 0), (0, 0, 0)))  # fold, then a null square
+def test_signature_matches_reference(M):
+    # Compared as tuples: a Signature from a second copy of the module never
+    # compares equal to one from the first.
+    assert signature(M).astuple() == polynomial_reference.signature(M).astuple()
+
+
+@pytest.mark.parametrize("degree, nvars", [(3, 2), (3, 3), (4, 2)])
+def test_form_pipeline_builds_no_throwaway_polynomials(monkeypatch, degree, nvars):
+    # Each directional derivative in the marked chain builds its result and
+    # nothing else; the Hessian is read off the quadratic without building
+    # any polynomial.
+    monomials = monomial_exponents(nvars, degree)
+    P = HomogeneousPolynomial(nvars, degree, {e: k + 1 for k, e in enumerate(monomials)})
+    quadratic = HomogeneousPolynomial(nvars, 2, {e: 1 for e in monomial_exponents(nvars, 2)})
+    marked = [tuple(range(1, nvars + 1))] * (degree - 2)
+    built = []
+    init = HomogeneousPolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomogeneousPolynomial, "__init__", counting_init)
+    polynomial_af_forms(P, marked)
+    assert len(built) == degree - 2
+    built.clear()
+    hessian_matrix(quadratic)
+    assert built == []
