@@ -1,13 +1,9 @@
 """Seeded generators and the property-suite runner.
 
-The random stream is pinned down by algorithm, not by library: a 64-bit
-splitmix generator (golden-ratio increment, two xor-multiply mixes), with
-named substreams derived by xoring the root seed with the FNV-1a hash of a
-label.  Identical configs therefore produce identical reports on any
-platform, byte for byte, apart from the wall-time field.
-
-Bounded draws use remainder reduction; the tiny modulo bias is irrelevant
-for test-case generation and keeps the derivation rule one line long.
+Every draw comes from `rational.SplitMix64`, a random stream pinned down by
+algorithm, not by library, with named substreams per label.  Identical
+configs therefore produce identical reports on any platform, byte for
+byte, apart from the wall-time field.
 """
 
 from __future__ import annotations
@@ -64,48 +60,7 @@ from .polytope import (
     translate,
     volume,
 )
-from .rational import Rat, compare_root_sum
-
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
-
-
-def _fnv1a64(text: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & _MASK
-    return h
-
-
-class SplitMix64:
-    """Deterministic 64-bit generator with label-derived substreams."""
-
-    __slots__ = ("seed", "state")
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK
-        self.state = self.seed
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-        return z ^ (z >> 31)
-
-    def below(self, n: int) -> int:
-        if n <= 0:
-            raise CoconvexError("need a positive range")
-        return self.next_u64() % n
-
-    def int_between(self, lo: int, hi: int) -> int:
-        return lo + self.below(hi - lo + 1)
-
-    def derive(self, label: str) -> "SplitMix64":
-        """Fresh stream from the root seed and a label; never consumes state."""
-        return SplitMix64(self.seed ^ _fnv1a64(label))
+from .rational import _MASK, Rat, SplitMix64, compare_root_sum
 
 
 def gen_rational(rng: SplitMix64, bound: int):
@@ -247,7 +202,7 @@ def _trial_kernel(rng, cfg):
     fam = make_convex_family([K1, K2])
     if volume_polynomial(fam) != volume_polynomial_interpolated(fam):
         bodies = [polyhedron_to_json(K1), polyhedron_to_json(K2)]
-        return _counterexample("polarization_vs_interpolation", bodies=bodies)
+        return _counterexample("cayley_vs_interpolation", bodies=bodies)
     shift = gen_point(rng, d, bound)
     v1 = volume(K1)
     if volume(translate(K1, shift)) != v1:

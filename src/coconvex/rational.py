@@ -5,11 +5,22 @@ touches floating point.  gmpy2's mpq is used when available because it is
 much faster, with fractions.Fraction as a drop-in fallback.  The two agree
 on construction from ints and "p/q" strings, on str() output, and on
 arithmetic, which is all we rely on.
+
+`SplitMix64` is the package's one source of pseudo-random integers: the
+seeded generators of `harness` and the lifting heights of
+`forms.volume_polynomial`.  The stream is pinned down by algorithm, not by
+library: a 64-bit splitmix generator (golden-ratio increment, two
+xor-multiply mixes), with named substreams derived by xoring the root seed
+with the FNV-1a hash of a label.  Bounded draws use remainder reduction;
+the tiny modulo bias is irrelevant for test-case generation and lifting
+heights, and keeps the derivation rule one line long.
 """
 
 from __future__ import annotations
 
 import re
+
+from .errors import CoconvexError
 
 try:
     from gmpy2 import mpq as Rat
@@ -148,3 +159,45 @@ def compare_root_sum(terms, d: int) -> int:
             return -1
         prec *= 2
     raise ArithmeticError("root comparison did not separate from zero")
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+
+
+def _fnv1a64(text: str) -> int:
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & _MASK
+    return h
+
+
+class SplitMix64:
+    """Deterministic 64-bit generator with label-derived substreams."""
+
+    __slots__ = ("seed", "state")
+
+    def __init__(self, seed: int):
+        self.seed = seed & _MASK
+        self.state = self.seed
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GOLDEN) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        if n <= 0:
+            raise CoconvexError("need a positive range")
+        return self.next_u64() % n
+
+    def int_between(self, lo: int, hi: int) -> int:
+        return lo + self.below(hi - lo + 1)
+
+    def derive(self, label: str) -> "SplitMix64":
+        """Fresh stream from the root seed and a label; never consumes state."""
+        return SplitMix64(self.seed ^ _fnv1a64(label))

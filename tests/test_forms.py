@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coconvex import forms, polytope
+from coconvex import cli, cones, forms, polytope
 from coconvex.dd import cone_extreme_rays
 from coconvex.cones import co_sum, co_volume, make_coconvex, make_cone
 from coconvex.errors import (
@@ -43,6 +43,7 @@ from coconvex.harness import (
     gen_convex_family,
     gen_positive_vector,
 )
+from coconvex.jsonio import convex_family_to_json, dump_json
 from coconvex.polynomial import (
     HomogeneousPolynomial,
     monomial_exponents,
@@ -243,19 +244,140 @@ def _per_monomial_polynomial(fam):
 
 @given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.integers(0, 2**32))
 @settings(deadline=None, max_examples=25)
-def test_shared_table_polynomial_matches_per_monomial_oracle(d, n, seed):
+def test_cayley_polynomial_matches_per_monomial_oracle(d, n, seed):
     fam = gen_convex_family(SplitMix64(seed), d, n, 3)
     assert volume_polynomial(fam) == _per_monomial_polynomial(fam)
 
 
-@pytest.mark.parametrize("n, want_sums", [(2, 3), (3, 10)])
-def test_volume_polynomial_builds_and_measures_each_sum_once(monkeypatch, n, want_sums):
-    # At d = 3 the sums are the keys with at least two generators: P+Q,
-    # 2P+Q and P+2Q for n = 2 (one table instead of one per monomial, which
-    # built P+Q twice).  Dilates get their volume by homogeneity, so only
-    # generators and true sums are measured, each once.
+@given(st.sampled_from([1, 2]), st.integers(0, 2**32))
+@settings(derandomize=True, deadline=None, max_examples=10)
+def test_cayley_polynomial_matches_interpolation_in_dim_4(n, seed):
+    fam = gen_convex_family(SplitMix64(seed), 4, n, 3)
+    assert volume_polynomial(fam) == volume_polynomial_interpolated(fam)
+
+
+def test_cayley_polynomial_evaluates_to_combination_volumes_at_4_3():
+    # no full oracle at (d, n) = (4, 3): the polynomial's values at two
+    # coefficient vectors against the volumes of those combinations
+    fam = gen_convex_family(SplitMix64(43), 4, 3, 3)
+    P = volume_polynomial(fam)
+    for lam in ((1, 1, 1), (2, Rat(1, 2), 3)):
+        assert P.evaluate(lam) == volume(combination_body(fam, lam))
+
+
+@pytest.mark.parametrize("d, n", [(3, 3), (4, 2)])
+def test_cayley_polynomial_is_independent_of_the_heights(monkeypatch, d, n):
+    # every call draws the same heights from a fresh stream, and another
+    # seed lifts differently but gives the same polynomial
+    fam = gen_convex_family(SplitMix64(17), d, n, 3)
+    lifts = []
+
+    def recording(rows, dim):
+        lifts.append(rows)
+        return cone_extreme_rays(rows, dim)
+
+    monkeypatch.setattr(forms, "cone_extreme_rays", recording)
+    want = volume_polynomial(fam)
+    assert volume_polynomial(fam) == want and lifts[1] == lifts[0]
+    for seed in (1, 2**40 + 5):
+        monkeypatch.setattr(forms, "_HEIGHT_SEED", seed)
+        assert volume_polynomial(fam) == want
+    assert len(lifts) == 4 and len({tuple(rows) for rows in lifts}) == 3
+
+
+def _counting_dd(monkeypatch):
+    """Route every DD call of forms, polytope and cones through a counter."""
+    calls = []
+
+    def counting(rows, dim):
+        calls.append(dim)
+        return cone_extreme_rays(rows, dim)
+
+    for module in (forms, polytope, cones):
+        monkeypatch.setattr(module, "cone_extreme_rays", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_volume_polynomial_runs_one_dd_pass(monkeypatch, n):
+    # one lower hull of the lifted Cayley polytope in dimension n + d + 1,
+    # and no Minkowski sum or volume at all
     fam = gen_convex_family(SplitMix64(11), 3, n, 3)
-    want = _per_monomial_polynomial(fam)
+    want = volume_polynomial_interpolated(fam)
+    others = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            others.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    dd_calls = _counting_dd(monkeypatch)
+    monkeypatch.setattr(forms, "minkowski_sum", counted("minkowski_sum", minkowski_sum))
+    monkeypatch.setattr(forms, "volume", counted("volume", volume))
+    assert volume_polynomial(fam) == want
+    assert dd_calls == [n + 4]
+    assert others == []
+
+
+def test_non_simplicial_lifting_redraws_the_heights(monkeypatch):
+    # equal heights put every point on one lower facet, which is no simplex
+    fam = gen_convex_family(SplitMix64(11), 3, 2, 3)
+    want = volume_polynomial(fam)
+    real = forms._height_draws
+    draws = []
+
+    def zeros_first(count):
+        draws.append("zeros")
+        yield [0] * count
+        for heights in real(count):
+            draws.append("drawn")
+            yield heights
+
+    monkeypatch.setattr(forms, "_height_draws", zeros_first)
+    dd_calls = _counting_dd(monkeypatch)
+    assert volume_polynomial(fam) == want
+    assert draws == ["zeros", "drawn"] and len(dd_calls) == 2
+
+
+def test_flat_liftings_give_up_with_exit_3(monkeypatch, tmp_path, capsys):
+    def flat(count):
+        while True:
+            yield [0] * count
+
+    fam = gen_convex_family(SplitMix64(11), 3, 2, 3)
+    path = tmp_path / "fam.json"
+    path.write_text(dump_json(convex_family_to_json(fam)), encoding="utf-8")
+    monkeypatch.setattr(forms, "_height_draws", flat)
+    dd_calls = _counting_dd(monkeypatch)
+    with pytest.raises(ArithmeticError):
+        volume_polynomial(fam)
+    assert len(dd_calls) == forms._LIFT_ATTEMPTS
+    assert cli.main(["volpoly", str(path)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def _pool_4d():
+    return {
+        "A": convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+        "B": axis_box((1, 2, 1, Rat(1, 2))),
+        "C": convex_hull([(0, 0, 0, 0), (2, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 2), (1, 0, 0, 2)]),
+    }
+
+
+@pytest.mark.parametrize("pattern, want_sums", [("AABB", 4), ("ABBC", 7)])
+def test_mixed_volume_builds_and_measures_each_sum_once(monkeypatch, pattern, want_sums):
+    # The table is keyed by multiplicity.  For AABB the sums are A+B, A+2B,
+    # 2A+B and 2A+2B; for ABBC they are the 7 keys with at least two
+    # bodies.  Dilates (2A, 2B) get their volume by homogeneity, so only
+    # the bodies and the true sums are measured, each once.  The Cayley
+    # coefficient over the multinomial is the oracle.
+    pool = _pool_4d()
+    names = sorted(set(pattern))
+    exps = tuple(pattern.count(name) for name in names)
+    fam = make_convex_family([pool[name] for name in names])
+    want = volume_polynomial(fam).coeffs.get(exps, 0) / multinomial(exps)
     sums, measured = [], []
 
     def counting_sum(P, Q):
@@ -268,7 +390,7 @@ def test_volume_polynomial_builds_and_measures_each_sum_once(monkeypatch, n, wan
 
     monkeypatch.setattr(forms, "minkowski_sum", counting_sum)
     monkeypatch.setattr(forms, "volume", counting_volume)
-    assert volume_polynomial(fam) == want
+    assert mixed_volume([pool[name] for name in pattern]) == want
     assert len(sums) == want_sums
     assert [id(P) for P in measured] == list(dict.fromkeys(id(P) for P in measured))
     assert {id(P) for P in measured} == {id(P) for P in (*fam.generators, *sums)}
