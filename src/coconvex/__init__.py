@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 from .cones import (
     CoconvexBody,
     Cone,
-    Truncation,
     co_scale,
     co_sum,
     co_volume,
     cone_polyhedron,
     make_coconvex,
     make_cone,
-    synthesize_truncation,
     truncation_threshold,
 )
 from .errors import (

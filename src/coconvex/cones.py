@@ -4,8 +4,10 @@ A coconvex body is the closure of C minus K, where C is a full-dimensional
 strictly convex polyhedral cone and K is a convex set inside C whose
 recession cone is all of C.  The body itself is never materialized as a
 single convex object; it is carried as the (cone, complement) pair and
-measured through truncations: co_volume(A) = vol(C cut at level t) minus
-vol(K cut at level t) for any level t clearing the complement's vertices.
+measured through one truncation by a level set of the cone's certificate
+xi: co_volume(A) = vol(C cut at level t) minus vol(K cut at level t), with
+t one past the largest xi-value over K's vertices.  The cone sector cut at
+level 1 has volume sector_constant(C), and at level t, c * t^d.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .polytope import (
     minkowski_sum,
     volume,
 )
-from .rational import Rat, ZERO, rat
+from .rational import Rat, ZERO
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,6 @@ class Cone:
     # Extreme rays of the dual cone, primitive and sorted, as `make_cone`
     # found them; outside equality, hashing and repr.
     duals: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Cutoff data: the sublevel set {x : xi . x <= t}."""
-
-    xi: tuple[int, ...]
-    t: object  # rational level
-
-    def halfspace(self) -> Halfspace:
-        return Halfspace.make(self.xi, self.t)
 
 
 @dataclass(frozen=True)
@@ -134,21 +125,6 @@ def truncation_threshold(complement: Polyhedron, xi) -> Rat:
     return Rat(max(dot(xi, v) for v in scaled), L)
 
 
-def synthesize_truncation(body: CoconvexBody) -> Truncation:
-    """A cut by the cone's certificate that clears the complement."""
-    xi = body.cone.xi
-    return Truncation(xi, truncation_threshold(body.complement, xi) + 1)
-
-
-def _check_functional(cone: Cone, xi) -> None:
-    """xi has the cone's length and is positive on every cone ray, so each
-    cut {xi <= t} of the cone is bounded."""
-    if len(xi) != cone.dim:
-        raise DimensionMismatch("cutoff functional of wrong length")
-    if any(dot(xi, r) <= 0 for r in cone.rays):
-        raise InvalidTruncation("functional is not positive on every cone ray")
-
-
 def _check_cutoff(complement: Polyhedron, xi, t) -> None:
     """t clears the complement's vertices, so the cut keeps the whole
     carved-out region."""
@@ -184,14 +160,16 @@ def make_coconvex(cone: Cone, complement: Polyhedron) -> CoconvexBody:
     return CoconvexBody(cone, complement)
 
 
-def co_volume(body: CoconvexBody, trunc: Truncation | None = None):
-    """Exact volume of the carved-out region, independent of the truncation."""
-    if trunc is None:
-        trunc = synthesize_truncation(body)
-    else:
-        _check_functional(body.cone, trunc.xi)
-        _check_cutoff(body.complement, trunc.xi, rat(trunc.t))
-    cut = trunc.halfspace()
+def sector_constant(cone: Cone):
+    """Volume of the cone sector at level 1; homogeneity gives c * t^d."""
+    return volume(clip(cone_polyhedron(cone), Halfspace.make(cone.xi, 1)))
+
+
+def co_volume(body: CoconvexBody):
+    """Exact volume of the carved-out region: the cone sector minus the
+    complement, both cut at one past the complement's threshold."""
+    xi = body.cone.xi
+    cut = Halfspace.make(xi, truncation_threshold(body.complement, xi) + 1)
     return volume(clip(cone_polyhedron(body.cone), cut)) - volume(clip(body.complement, cut))
 
 

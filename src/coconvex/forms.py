@@ -12,7 +12,9 @@ each checks the others: `volume_polynomial` reads every coefficient off one
 regular triangulation of the Cayley polytope (one DD pass, no Minkowski sum
 and no volume), `mixed_volume` polarizes one monomial through Minkowski
 subset sums, and `volume_polynomial_interpolated` fits combination volumes
-on an integer grid.
+on an integer grid.  The co-volume polynomial has one route here, the
+sector's minus the Cayley polynomial of the cut complements; `lift`'s
+interpolated lifted polynomial and a grid fit in the tests check it.
 
 Matrix conventions, fixed once: with chain = the marked-derivative cascade of
 the volume polynomial,
@@ -32,7 +34,7 @@ from functools import reduce
 from itertools import islice, product
 from math import comb, factorial, prod
 
-from .cones import Cone, CoconvexBody, co_volume
+from .cones import Cone, CoconvexBody, sector_constant, truncation_threshold
 from .dd import cone_extreme_rays, greedy_inverse
 from .errors import (
     CoconvexError,
@@ -46,8 +48,11 @@ from .polynomial import (
     default_grid,
     fit_homogeneous,
     hessian_matrix,
+    monomial_exponents,
+    multinomial,
 )
-from .polytope import Polyhedron, _lattice_scaled, affine_dimension, minkowski_sum, volume
+from .polytope import (Halfspace, Polyhedron, _lattice_scaled, affine_dimension, clip,
+                       minkowski_sum, volume)
 from .rational import Rat, SplitMix64, ZERO, rat
 
 
@@ -282,19 +287,27 @@ def co_combination_body(fam: CoconvexFamily, lam) -> CoconvexBody:
 
 
 def co_volume_polynomial(fam: CoconvexFamily) -> HomogeneousPolynomial:
-    """Degree-d polynomial matching the carved-out volume of every positive
-    combination, recovered by exact interpolation on an integer grid.
+    """Degree-d polynomial whose value at positive lam is the carved-out
+    volume of the lam-combination, from the Cayley polynomial of the cut
+    family.
 
-    The lift machinery recovers the same polynomial from truncated convex
-    volumes; the verification layer asserts the two routes agree.
+    Cut each complement K_i at s_i, one past its threshold: T_i = K_i cut by
+    {xi <= s_i}.  For every lam > 0, sum lam_i T_i = K_lam cut by
+    {xi <= s . lam}, since both sides have the same support function: h_K
+    on the polar cone, and linear in xi beyond it.  The cut clears K_lam's
+    vertices, so covol(lam) = c (s . lam)^d - vol(sum lam_i T_i), with c the
+    sector constant; the first term's coefficient of lam^k is
+    c multinomial(k) s^k and the second is `volume_polynomial` of the T_i.
     """
-    n = len(fam.generators)
-    return fit_homogeneous(
-        n,
-        fam.dim,
-        default_grid(n, fam.dim),
-        lambda p: co_volume(co_combination_body(fam, p)),
-    )
+    n, d, xi = len(fam.generators), fam.dim, fam.cone.xi
+    levels = [truncation_threshold(g.complement, xi) + 1 for g in fam.generators]
+    cuts = tuple(clip(g.complement, Halfspace.make(xi, s)) for g, s in zip(fam.generators, levels))
+    c = sector_constant(fam.cone)
+    cut = volume_polynomial(ConvexFamily(d, cuts, fam.marked)).coeffs
+    return HomogeneousPolynomial(n, d, {
+        k: c * multinomial(k) * prod(map(pow, levels, k)) - cut.get(k, ZERO)
+        for k in monomial_exponents(n, d)
+    })
 
 
 def derivative_chain(P: HomogeneousPolynomial, directions) -> HomogeneousPolynomial:

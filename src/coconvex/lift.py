@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone, _check_cutoff, cone_polyhedron, truncation_threshold
+from .cones import _check_cutoff, cone_polyhedron, sector_constant, truncation_threshold
 from .errors import CoconvexError
 from .forms import CoconvexFamily, co_combination_body, polynomial_af_forms
 from .polynomial import (
@@ -57,11 +57,6 @@ def lift(fam: CoconvexFamily) -> LiftedFamily:
     s, c = max(thresholds) + 1, sector_constant(fam.cone)
     marked = tuple((v, s) for v in fam.marked)
     return LiftedFamily(fam, thresholds, c, c * s ** len(marked), marked)
-
-
-def sector_constant(cone: Cone):
-    """Volume of the cone sector at level 1; homogeneity gives c * t^d."""
-    return volume(clip(cone_polyhedron(cone), Halfspace.make(cone.xi, 1)))
 
 
 def lifted_body(lf: LiftedFamily, lam, t) -> Polyhedron:
@@ -154,8 +149,8 @@ def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
     """Check vol(lifted body) = c * t^d - covol(lam) at every sample.
 
     The left side is a direct polytope volume; the right side evaluates
-    base_poly, the interpolated base polynomial (co_volume_polynomial of
-    lf.base).  First mismatch is reported in full.
+    base_poly, the base polynomial (co_volume_polynomial of lf.base, which
+    measures its own sector constant).  First mismatch is reported in full.
     """
     d = lf.base.dim
     if samples is None:

@@ -7,14 +7,12 @@ import hull_reference
 import volume_reference
 from coconvex import cones, polytope
 from coconvex.cones import (
-    Truncation,
     co_scale,
     co_sum,
     co_volume,
     cone_polyhedron,
     make_coconvex,
     make_cone,
-    synthesize_truncation,
     truncation_threshold,
 )
 from coconvex.dd import cone_extreme_rays
@@ -46,7 +44,7 @@ from coconvex.forms import (
 from coconvex.lift import lift, lifted_body, lifted_body_materialized, verify_identity_V
 from coconvex.linalg import dot
 from coconvex.polynomial import HomogeneousPolynomial, fit_homogeneous, signature
-from coconvex.polytope import Halfspace, convex_hull, volume
+from coconvex.polytope import Halfspace, clip, convex_hull, volume
 from coconvex.rational import Rat
 
 
@@ -88,20 +86,26 @@ def test_corner_triangle_volume(corner_triangle):
     assert co_volume(corner_triangle) == Rat(1, 2)
 
 
+def _truncation_difference(body, xi, t):
+    """vol(C cut at {xi <= t}) - vol(K cut there): co_volume at any level t
+    that clears K's vertices, for any xi positive on the cone's rays."""
+    cut = Halfspace.make(xi, t)
+    return volume(clip(cone_polyhedron(body.cone), cut)) - volume(clip(body.complement, cut))
+
+
 def test_co_volume_is_truncation_independent(corner_triangle):
     for t in (3, 5, 100, Rat(3, 2)):
-        trunc = Truncation(corner_triangle.cone.xi, t)
-        assert co_volume(corner_triangle, trunc) == Rat(1, 2)
+        got = _truncation_difference(corner_triangle, corner_triangle.cone.xi, t)
+        assert got == co_volume(corner_triangle) == Rat(1, 2)
 
 
 def test_co_volume_accepts_other_functionals(corner_triangle):
-    assert co_volume(corner_triangle, Truncation((3, 1), 9)) == Rat(1, 2)
+    got = _truncation_difference(corner_triangle, (3, 1), 9)
+    assert got == co_volume(corner_triangle) == Rat(1, 2)
 
 
 def test_truncation_threshold(corner_triangle):
     assert truncation_threshold(corner_triangle.complement, (1, 1)) == 1
-    trunc = synthesize_truncation(corner_triangle)
-    assert Rat(trunc.t) > 1
 
 
 @st.composite
@@ -125,11 +129,8 @@ def test_truncation_threshold_matches_rational_dot_products(case):
 
 def test_truncation_validation(corner_triangle):
     with pytest.raises(InvalidTruncation):
-        co_volume(corner_triangle, Truncation((1, 1), 1))  # at the threshold
-    with pytest.raises(InvalidTruncation):
-        co_volume(corner_triangle, Truncation((1, -1), 5))  # negative on a ray
-    with pytest.raises(DimensionMismatch):
-        co_volume(corner_triangle, Truncation((1, 1, 1), 5))
+        cones._check_cutoff(corner_triangle.complement, (1, 1), 1)  # at the threshold
+    cones._check_cutoff(corner_triangle.complement, (1, 1), Rat(3, 2))
 
 
 @pytest.mark.parametrize(
@@ -141,7 +142,6 @@ def test_truncation_validation(corner_triangle):
         lambda square, body: Halfspace.make((0.1, 1), 1),
         lambda square, body: make_cone([(0.5, 1), (1, 0)]),
         lambda square, body: make_cone([(True, 1), (1, 0)]),
-        lambda square, body: co_volume(body, Truncation((1, 1), 2.5)),
         lambda square, body: make_convex_family([_tetrahedron()] * 2, marked=[(0.1, 1)]),
         lambda square, body: combination_body(make_convex_family([square] * 2), (0.5, True)),
         lambda square, body: combination_body(make_convex_family([square] * 2), (1, True)),
@@ -178,7 +178,6 @@ def test_truncation_validation(corner_triangle):
         "halfspace_float",
         "cone_float_ray",
         "cone_bool_ray",
-        "truncation_float_t",
         "marked_float",
         "combination_float",
         "combination_bool",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cone_reference
 from coconvex import cli, cones, forms, polytope
 from coconvex.dd import cone_extreme_rays
 from coconvex.cones import co_sum, co_volume, make_coconvex, make_cone
@@ -529,6 +530,52 @@ def test_co_volume_polynomial_matches_combinations(skew_pair):
     assert P.evaluate((0, 1)) == Rat(4, 3)
     for lam in ((1, 1), (2, 1), (1, 3)):
         assert P.evaluate(lam) == co_volume(co_combination_body(skew_pair, lam))
+
+
+@given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]),
+       st.integers(0, 2**32))
+@settings(derandomize=True, deadline=None, max_examples=10)
+def test_co_volume_polynomial_matches_interpolated_oracle(shape, seed):
+    d, n = shape
+    fam = gen_coconvex_family(SplitMix64(seed), d, n, 3)
+    assert co_volume_polynomial(fam) == cone_reference.co_volume_polynomial(fam)
+
+
+def test_co_volume_polynomial_evaluates_to_co_volumes_at_4_3():
+    # the family `gen coconvex-family --dim 4 --n 3 --seed 10` writes; no
+    # full oracle here, only the polynomial's values at two coefficient
+    # vectors against the co-volumes of those combinations
+    fam = gen_coconvex_family(SplitMix64(10).derive("gen:coconvex-family"), 4, 3, 4)
+    P = co_volume_polynomial(fam)
+    for lam in ((1, 1, 1), (2, Rat(1, 2), 3)):
+        assert P.evaluate(lam) == co_volume(co_combination_body(fam, lam))
+
+
+def test_co_volume_polynomial_is_one_cayley_polynomial(monkeypatch):
+    # one Cayley polynomial of the cut complements: no combination body,
+    # no co-volume and no interpolation
+    fam = gen_coconvex_family(SplitMix64(5), 3, 2, 3)
+    want = cone_reference.co_volume_polynomial(fam)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in (
+        (forms, "volume_polynomial"),
+        (forms, "co_volume"),
+        (cones, "co_volume"),
+        (forms, "fit_homogeneous"),
+        (forms, "co_combination_body"),
+    ):
+        real = getattr(module, name, None)
+        monkeypatch.setattr(module, name, counted(name, real), raising=False)
+    assert co_volume_polynomial(fam) == want
+    assert calls == ["volume_polynomial"]
 
 
 def test_co_combination_requires_positive_weights(skew_pair):

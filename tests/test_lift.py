@@ -216,24 +216,34 @@ def test_lift_on_slanted_cone():
 
 
 def test_lift_verify_derives_each_intermediate_once(monkeypatch, tmp_path):
-    # d = 3, n = 2: one sector constant, in lift, and one quadratic form per
-    # polynomial, shared by the Q and signature verifiers.
+    # d = 3, n = 2: one quadratic form per polynomial, shared by the Q and
+    # signature verifiers, and one sector constant in lift plus one in the
+    # base polynomial.  The base route measures its own sector on purpose:
+    # reading lift's c would tie the two sides of identity V to one value,
+    # so a wrong c could no longer show as a failed sample.
     fam = gen_coconvex_family(SplitMix64(5), 3, 2, 3)
     path = tmp_path / "family.json"
     path.write_text(dump_json(coconvex_family_to_json(fam)), encoding="utf-8")
-    module = import_module("coconvex.lift")
-    calls = {"sector_constant": 0, "polynomial_af_forms": 0}
+    calls = {
+        ("lift", "sector_constant"): 0,
+        ("lift", "polynomial_af_forms"): 0,
+        ("forms", "sector_constant"): 0,
+    }
 
-    def counting(name):
-        real = getattr(module, name)
+    def counting(key):
+        real = getattr(import_module(f"coconvex.{key[0]}"), key[1])
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[key] += 1
             return real(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(module, name, counting(name))
+    for key in calls:
+        monkeypatch.setattr(import_module(f"coconvex.{key[0]}"), key[1], counting(key))
     assert cli.main(["lift-verify", str(path), "--out", str(tmp_path / "out.json")]) == 0
-    assert calls == {"sector_constant": 1, "polynomial_af_forms": 2}
+    assert calls == {
+        ("lift", "sector_constant"): 1,
+        ("lift", "polynomial_af_forms"): 2,
+        ("forms", "sector_constant"): 1,
+    }
