@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .cones import (
     CoconvexBody,
     Cone,
-    co_scale,
-    co_sum,
     co_volume,
     cone_polyhedron,
     make_coconvex,
@@ -74,7 +72,6 @@ from .lift import (
     lifted_body,
     lifted_volume_polynomial,
     quadratic_blocks,
-    recovered_base_polynomial,
     sector_constant,
     verify_identity_Q,
     verify_identity_V,
@@ -96,7 +93,6 @@ from .polytope import (
     dd_convert,
     dd_convert_back,
     minkowski_sum,
-    translate,
     volume,
 )
 from .rational import RAT_BACKEND, Rat, rat, rat_str

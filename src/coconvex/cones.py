@@ -18,7 +18,6 @@ from .dd import cone_extreme_rays
 from .errors import (
     ComplementNotCompact,
     ComplementNotInCone,
-    ConeMismatch,
     DimensionMismatch,
     EmptyInterior,
     InvalidTruncation,
@@ -35,7 +34,6 @@ from .polytope import (
     clip,
     contains,
     dd_convert,
-    minkowski_sum,
     volume,
 )
 from .rational import Rat, ZERO
@@ -171,18 +169,3 @@ def co_volume(body: CoconvexBody):
     xi = body.cone.xi
     cut = Halfspace.make(xi, truncation_threshold(body.complement, xi) + 1)
     return volume(clip(cone_polyhedron(body.cone), cut)) - volume(clip(body.complement, cut))
-
-
-def co_scale(factor, body: CoconvexBody) -> CoconvexBody:
-    """Dilate by a positive rational; the cone is unchanged and validity
-    is preserved, so the scaled pair is assembled directly."""
-    return CoconvexBody(body.cone, body.complement.scale(factor))
-
-
-def co_sum(a: CoconvexBody, b: CoconvexBody) -> CoconvexBody:
-    """Coconvex addition: Minkowski-add the complements over a shared cone.
-    Only the cone is checked: the summands were validated by make_coconvex
-    when built, and a sum of coconvex bodies over one cone is coconvex."""
-    if a.cone != b.cone:
-        raise ConeMismatch("coconvex addition needs one shared cone")
-    return CoconvexBody(a.cone, minkowski_sum(a.complement, b.complement))

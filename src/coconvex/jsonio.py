@@ -173,20 +173,6 @@ def polynomial_to_json(P: HomogeneousPolynomial) -> dict:
     }
 
 
-def polynomial_from_json(obj: dict) -> HomogeneousPolynomial:
-    terms = _list_field(obj, "terms", "polynomial")
-    nvars = _int_field(obj, "nvars", "polynomial")
-    degree = _int_field(obj, "degree", "polynomial")
-    _known_fields(obj, ("nvars", "degree", "terms"), "polynomial")
-    coeffs = {}
-    for t in terms:
-        exps = _list_field(t, "exp", "polynomial term")
-        coeff = _field(t, "coeff", "polynomial term")
-        _known_fields(t, ("exp", "coeff"), "polynomial term")
-        coeffs[tuple(_int(e, "an exponent") for e in exps)] = rat(coeff)
-    return HomogeneousPolynomial(nvars, degree, coeffs)
-
-
 def form_to_json(matrix) -> dict:
     return {"n": len(matrix), "rows": [[rational_to_json(x) for x in row] for row in matrix]}
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import _check_cutoff, cone_polyhedron, sector_constant, truncation_threshold
-from .errors import CoconvexError
 from .forms import CoconvexFamily, co_combination_body, polynomial_af_forms
 from .polynomial import (
     HomogeneousPolynomial,
@@ -103,40 +102,11 @@ def lifted_volume_polynomial(lf: LiftedFamily) -> HomogeneousPolynomial:
     return fit_homogeneous(n + 1, d, tensor_grid(axes), value)
 
 
-def recovered_base_polynomial(
-    lf: LiftedFamily, lifted_poly: HomogeneousPolynomial
-) -> HomogeneousPolynomial:
-    """Read the base volume polynomial off the lifted one.
-
-    The lifted polynomial must be exactly c * t^d minus a t-free part; any
-    other shape falsifies identity (V) and raises.
-    """
-    n = len(lf.base.generators)
-    d = lf.base.dim
-    out = {}
-    seen_pure = False
-    for exps, coef in lifted_poly.coeffs.items():
-        base_exps, te = exps[:-1], exps[-1]
-        if te == 0:
-            out[base_exps] = -coef
-        elif te == d:
-            seen_pure = True
-            if coef != lf.c:
-                raise CoconvexError(
-                    f"pure cutoff term has coefficient {coef}, sector constant is {lf.c}"
-                )
-        else:
-            raise CoconvexError(f"mixed term {exps} should not appear in a lifted volume")
-    if not seen_pure and lf.c != 0:
-        raise CoconvexError("pure cutoff term missing from the lifted volume")
-    return HomogeneousPolynomial(n, d, out)
-
-
-def _default_samples(lf: LiftedFamily, count: int):
-    """(lam, t) per default sample, t one or two past lam's own threshold."""
+def _default_samples(lf: LiftedFamily):
+    """Five (lam, t) samples, t one or two past lam's own threshold."""
     n = len(lf.base.generators)
     out = []
-    for j in range(count):
+    for j in range(5):
         lam = [1] * n
         if j:
             lam[(j - 1) % n] += 1 + (j - 1) // n
@@ -145,20 +115,18 @@ def _default_samples(lf: LiftedFamily, count: int):
     return out
 
 
-def verify_identity_V(lf: LiftedFamily, base_poly, samples=None) -> dict:
-    """Check vol(lifted body) = c * t^d - covol(lam) at every sample.
+def verify_identity_V(lf: LiftedFamily, base_poly) -> dict:
+    """Check vol(lifted body) = c * t^d - covol(lam) at five default samples.
 
     The left side is a direct polytope volume; the right side evaluates
     base_poly, the base polynomial (co_volume_polynomial of lf.base, which
     measures its own sector constant).  First mismatch is reported in full.
     """
     d = lf.base.dim
-    if samples is None:
-        samples = _default_samples(lf, 5)
     checked = 0
     counterexample = None
-    for lam, t in samples:
-        lam, t = tuple(map(rat, lam)), rat(t)
+    for lam, t in _default_samples(lf):
+        lam = tuple(map(rat, lam))
         lhs = volume(lifted_body(lf, lam, t))
         rhs = lf.c * t**d - base_poly.evaluate(lam)
         checked += 1

@@ -144,10 +144,10 @@ def tensor_grid(axes):
     return [tuple(p) for p in product(*axes)]
 
 
-def default_grid(nvars: int, degree: int, start: int = 1):
-    """Grid with degree+1 consecutive integer values on every axis, which
-    pins down any polynomial of per-variable degree at most `degree`."""
-    return tensor_grid([range(start, start + degree + 1)] * nvars)
+def default_grid(nvars: int, degree: int):
+    """Grid with the values 1..degree+1 on every axis, which pins down any
+    polynomial of per-variable degree at most `degree`."""
+    return tensor_grid([range(1, degree + 2)] * nvars)
 
 
 def fit_homogeneous(nvars: int, degree: int, points, value_fn) -> HomogeneousPolynomial:

@@ -442,7 +442,3 @@ def volume(P: Polyhedron):
     # LP has the carried facets at bounds L * b
     facets = [(h.normal, L * h.bound) for h in P.facets]
     return Rat(_normalized_volume(points, d, facets), factorial(d) * L**d)
-
-
-def translate(P: Polyhedron, vec) -> Polyhedron:
-    return P.translate(vec)

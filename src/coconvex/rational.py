@@ -32,7 +32,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     RAT_BACKEND = "fractions"
 
 ZERO = Rat(0)
-ONE = Rat(1)
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 

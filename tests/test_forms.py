@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cone_reference
 from coconvex import cli, cones, forms, polytope
 from coconvex.dd import cone_extreme_rays
-from coconvex.cones import co_sum, co_volume, make_coconvex, make_cone
+from coconvex.cones import co_volume, make_coconvex, make_cone
 from coconvex.errors import (
     CoconvexError,
     ConeMismatch,
@@ -117,9 +117,7 @@ def test_mixed_volume_is_multilinear(square_and_box):
 
 def test_mixed_volume_translation_invariant(square_and_box):
     sq, box = square_and_box
-    from coconvex.polytope import translate
-
-    moved = translate(box, (Rat(-7, 3), 5))
+    moved = box.translate((Rat(-7, 3), 5))
     assert mixed_volume([sq, moved]) == mixed_volume([sq, box])
 
 
@@ -499,9 +497,8 @@ def triangle_family(corner_triangle):
 
 @pytest.fixture
 def homothetic_triangles(corner_triangle):
-    from coconvex.cones import co_scale
-
-    return make_coconvex_family([corner_triangle, co_scale(2, corner_triangle)])
+    double = make_coconvex(corner_triangle.cone, corner_triangle.complement.scale(2))
+    return make_coconvex_family([corner_triangle, double])
 
 
 @pytest.fixture
@@ -600,16 +597,14 @@ def test_family_memo_is_not_a_field(corner_triangle):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3])
 def test_trusted_combinations_stay_coconvex(d, n):
-    # co_combination_body and co_sum assemble their result without
-    # make_coconvex; the full validation here keeps that shortcut honest
+    # co_combination_body assembles its result without make_coconvex; the
+    # full validation here keeps that shortcut honest
     rng = SplitMix64(31).derive(f"trusted:{d}:{n}")
     fam = gen_coconvex_family(rng, d, n, 3)
     for _ in range(2):
         body = co_combination_body(fam, gen_positive_vector(rng, n))
         assert make_coconvex(fam.cone, body.complement) == body
         assert co_volume(body) > 0
-        total = co_sum(body, fam.generators[-1])
-        assert make_coconvex(fam.cone, total.complement) == total
 
 
 def test_coconvex_family_needs_shared_cone(corner_triangle):

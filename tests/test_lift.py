@@ -3,7 +3,7 @@ from importlib import import_module
 import pytest
 
 from coconvex import cli
-from coconvex.cones import co_scale, make_coconvex, make_cone
+from coconvex.cones import make_coconvex, make_cone
 from coconvex.errors import CoconvexError, DimensionMismatch, InvalidTruncation
 from coconvex.forms import co_volume_polynomial, make_coconvex_family
 from coconvex.harness import SplitMix64, gen_coconvex_family
@@ -14,7 +14,6 @@ from coconvex.lift import (
     lifted_body_materialized,
     lifted_volume_polynomial,
     quadratic_blocks,
-    recovered_base_polynomial,
     sector_constant,
     verify_identity_Q,
     verify_identity_V,
@@ -38,8 +37,8 @@ def triangle_lift(corner_triangle):
 
 @pytest.fixture
 def pair_lift(corner_triangle):
-    fam = make_coconvex_family([corner_triangle, co_scale(2, corner_triangle)])
-    return lift(fam)
+    double = make_coconvex(corner_triangle.cone, corner_triangle.complement.scale(2))
+    return lift(make_coconvex_family([corner_triangle, double]))
 
 
 @pytest.fixture
@@ -109,18 +108,15 @@ def test_lifted_volume_polynomial_pair(pair_lift):
     assert P.evaluate((1, 1, 4)) == Rat(8) - Rat(9, 2)
 
 
-def test_recovered_base_polynomial(pair_lift):
-    base = recovered_base_polynomial(pair_lift, lifted_volume_polynomial(pair_lift))
-    assert base == co_volume_polynomial(pair_lift.base)
-
-
-def test_recovered_base_rejects_mixed_terms(triangle_lift):
-    tampered = HomogeneousPolynomial(2, 2, {(0, 2): Rat(1, 2), (1, 1): 1})
-    with pytest.raises(CoconvexError):
-        recovered_base_polynomial(triangle_lift, tampered)
-    missing_top = HomogeneousPolynomial(2, 2, {(2, 0): Rat(-1, 2)})
-    with pytest.raises(CoconvexError):
-        recovered_base_polynomial(triangle_lift, missing_top)
+def test_recovered_base_polynomial(triangle_lift, pair_lift, simplex_lift):
+    # the lifted polynomial is exactly c * t^d minus the base one, with no
+    # mixed term
+    for lf in (triangle_lift, pair_lift, simplex_lift):
+        base = co_volume_polynomial(lf.base)
+        n, d = base.nvars, base.degree
+        expected = {(0,) * n + (d,): lf.c}
+        expected.update({k + (0,): -v for k, v in base.coeffs.items()})
+        assert lifted_volume_polynomial(lf) == HomogeneousPolynomial(n + 1, d, expected)
 
 
 def test_identity_V(triangle_lift, pair_lift, simplex_lift):
@@ -136,8 +132,9 @@ def test_identity_V(triangle_lift, pair_lift, simplex_lift):
 
 
 def test_routes_build_each_complement_once(monkeypatch):
-    # d = 3, n = 2: each complement is one sum, and the base grid, the lifted
-    # grid and the five default V samples ask six distinct lam between them.
+    # d = 3, n = 2: each complement is one sum, and the lifted grid and the
+    # five default V samples ask six distinct lam between them; the base
+    # route cuts the generators and builds no combination.
     fam = gen_coconvex_family(SplitMix64(5), 3, 2, 3)
     calls = []
 
@@ -152,11 +149,6 @@ def test_routes_build_each_complement_once(monkeypatch):
     report = verify_identity_V(lf, base)
     assert report["status"] == "ok" and report["samples"] == 5
     assert len(calls) == len(fam.complements) == 6
-    # caller samples run the same loop; the package re-exports the function
-    # lift, which hides the module
-    samples = import_module("coconvex.lift")._default_samples(lf, 5)
-    assert verify_identity_V(lf, base, samples) == report
-    assert len(calls) == 6
 
 
 def test_identity_V_detects_wrong_base(triangle_lift):

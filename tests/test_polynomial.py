@@ -164,14 +164,16 @@ small_rat = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
 
 @st.composite
 def fit_cases(draw):
-    """(nvars, degree, grid): a default grid, an integer tensor grid, a
-    tensor grid with a rational last axis (the lifted t-axis), or scattered
-    rational points.  Axis values may repeat, so some grids are degenerate."""
+    """(nvars, degree, grid): a default grid with a shifted start, an
+    integer tensor grid, a tensor grid with a rational last axis (the lifted
+    t-axis), or scattered rational points.  Axis values may repeat, so some
+    grids are degenerate."""
     nvars = draw(st.integers(1, 3))
     degree = draw(st.integers(0, 3))
     kind = draw(st.sampled_from(["default", "tensor", "rational_axis", "scattered"]))
     if kind == "default":
-        return nvars, degree, default_grid(nvars, degree, draw(st.integers(-1, 2)))
+        s = draw(st.integers(-1, 2))
+        return nvars, degree, tensor_grid([range(s, s + degree + 1)] * nvars)
     if kind == "scattered":
         m = len(list(monomial_exponents(nvars, degree)))
         coord = st.one_of(st.integers(-3, 3), small_rat)

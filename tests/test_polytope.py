@@ -19,7 +19,6 @@ from coconvex.polytope import (
     dd_convert,
     dd_convert_back,
     minkowski_sum,
-    translate,
     volume,
 )
 from coconvex.rational import Rat
@@ -121,7 +120,7 @@ def test_volume_unbounded_raises():
 
 
 def test_translate_and_scale(unit_square):
-    moved = translate(unit_square, (Rat(5, 2), -3))
+    moved = unit_square.translate((Rat(5, 2), -3))
     assert volume(moved) == 1
     assert (Rat(5, 2), -3) in moved.vertices
     doubled = unit_square.scale(2)
@@ -215,7 +214,7 @@ def test_minkowski_volume_superadditive(ps, qs):
 @settings(deadline=None)
 def test_volume_translation_invariant(points, shift):
     P = convex_hull(points)
-    assert volume(translate(P, shift)) == volume(P)
+    assert volume(P.translate(shift)) == volume(P)
 
 
 rational_coord = st.one_of(coord, st.builds(Rat, coord, st.integers(1, 6)))
@@ -396,7 +395,7 @@ def test_carried_facets_match_dd_convert(case, factor, shift):
         return
     S = _hull_or_not_pointed(minkowski_sum, P, Q)
     shift = shift[:dim]
-    bodies = [P, Q, P.scale(factor), P.translate(shift), translate(Q.scale(factor), shift)]
+    bodies = [P, Q, P.scale(factor), P.translate(shift), Q.scale(factor).translate(shift)]
     if S is not NotPointed:
         bodies += [S, S.scale(factor).translate(shift)]
     for body in bodies:
